@@ -70,6 +70,16 @@ void advise_huge_pages(void* p, std::size_t bytes) {
 #endif
 }
 
+/// The whole-row leaf kernel over one contiguous row (kernels::
+/// KernelDispatch::run_row), on a split scratch of at least 2 * row.size()
+/// scalars (FftExecutor::row_split_locked).
+template <typename T>
+void run_row(const kernels::RowTables<T>& tables, std::span<cplx_t<T>> row,
+             std::vector<T>& split, unsigned fuse_log2) {
+  kernels::active_kernels<T>().run_row(tables, row.data(), split.data(),
+                                       split.data() + row.size(), fuse_log2);
+}
+
 }  // namespace
 
 SweepGrain four_step_sweep_grain(std::uint64_t row_count, unsigned workers) {
@@ -214,38 +224,26 @@ codelet::HostRuntime& FftExecutor::team(unsigned workers,
   return *runtime_;
 }
 
-const std::vector<std::uint32_t>& FftExecutor::bitrev_table_locked(
-    std::uint64_t len, unsigned bits) {
-  for (auto it = bitrev_tables_.begin(); it != bitrev_tables_.end(); ++it) {
-    if (it->first == len) {
-      // Move-to-back on hit so eviction below is least-recently-used, not
-      // insertion-ordered. The hierarchical path fetches two tables
-      // back-to-back (sub-FFT lengths n1 then n2) and holds spans into
-      // both across one pipeline phase — with insertion-order eviction a
-      // full cache could free the n1 table while the n2 fetch inserts.
-      // The rotate moves the std::vector shells only; spans into the
-      // tables' heap buffers stay valid.
-      std::rotate(it, it + 1, bitrev_tables_.end());
-      return bitrev_tables_.back().second;
-    }
-  }
-  // Bound the cache: 32 distinct lengths is far beyond any real traffic
-  // mix; drop the least-recently-used entry rather than growing without
-  // limit.
-  if (bitrev_tables_.size() >= 32)
-    bitrev_tables_.erase(bitrev_tables_.begin());
-  auto& slot = bitrev_tables_.emplace_back(len, std::vector<std::uint32_t>(len));
-  for (std::uint64_t i = 0; i < len; ++i)
-    slot.second[i] = static_cast<std::uint32_t>(util::bit_reverse(i, bits));
-  return slot.second;
-}
-
-template <typename T>
-void FftExecutor::ensure_worker_buffers(std::uint64_t radix, unsigned workers) {
+void FftExecutor::ensure_key_buffers(unsigned workers) {
   if (members_buf_.size() != workers) {
     members_buf_.assign(workers, {});
     keys_buf_.assign(workers, {});
   }
+}
+
+template <typename T>
+std::vector<std::vector<T>>& FftExecutor::row_split_locked(std::uint64_t len,
+                                                           unsigned workers) {
+  std::vector<std::vector<T>>& split = num<T>().row_split;
+  if (split.size() < workers) split.resize(workers);
+  for (unsigned w = 0; w < workers; ++w)
+    if (split[w].size() < 2 * len) split[w].resize(2 * len);
+  return split;
+}
+
+template <typename T>
+void FftExecutor::ensure_worker_buffers(std::uint64_t radix, unsigned workers) {
+  ensure_key_buffers(workers);
   NumericState<T>& st = num<T>();
   // Oversized tiles are valid for any smaller radix (run_codelet asserts
   // scratch >= plan.radix()), so keep the largest set seen: mixed traffic
@@ -418,43 +416,31 @@ void FftExecutor::run_classic_locked(const PlanEntry& entry,
   const std::uint32_t stages = plan.stage_count();
 
   codelet::HostRuntime& rt = team(opts.workers, opts.mode);
-  ensure_worker_buffers<T>(plan.radix(), rt.workers());
-  std::vector<BasicKernelScratch<T>>& scratch = num<T>().scratch;
-
   const unsigned bits = plan.log2_size();
   const unsigned fuse_log2 = tuned_fuse_locked<T>(n);
 
   // Serial fast path: on a one-worker team there is no scheduling to
   // exercise — every variant degenerates to in-order execution — so
-  // instead of the swap-based permutation phase plus a stage-0
-  // gather/scatter round-trip per codelet, each transform runs the same
-  // fused split-complex stage 0 as the four-step row sweep (cached
-  // bit-reversal index table feeding the dispatched permuted gather),
-  // then the remaining stages in order. Same butterflies in the same
-  // order, so the output is bit-identical to the phased path under every
-  // variant. Whole batches take this path too (not just b_count == 1):
-  // a coalesced batch of B small transforms on a one-worker team then
-  // pays the plan/twiddle/tuned-schedule lookups and the executor lock
-  // once for all B, with per-transform work identical to B single calls —
-  // the per-request dispatch overhead is what request coalescing exists
-  // to amortize.
+  // instead of the swap-based permutation phase plus per-stage codelets,
+  // each transform runs the whole-row leaf kernel (run_row): the same
+  // butterflies on the same inputs with the same twiddles, so the output
+  // is bit-identical to the phased path under every variant. Whole
+  // batches take this path too (not just b_count == 1): a coalesced batch
+  // of B small transforms on a one-worker team then pays the
+  // plan/twiddle/tuned-schedule lookups and the executor lock once for
+  // all B, with per-transform work identical to B single calls — the
+  // per-request dispatch overhead is what request coalescing exists to
+  // amortize.
   if (rt.workers() == 1) {
-    const std::vector<std::uint32_t>& brev_table = bitrev_table_locked(n, bits);
-    NumericState<T>& st = num<T>();
-    if (st.row_split.empty()) st.row_split.resize(1);
-    if (st.row_split[0].size() < 2 * n) st.row_split[0].resize(2 * n);
-    T* const re = st.row_split[0].data();
-    T* const im = re + n;
-    for (const std::span<cplx_t<T>>& data : batch) {
-      run_stage0_bitrev(plan, data, twiddles,
-                        std::span<const std::uint32_t>(brev_table), re, im,
-                        scratch[0], fuse_log2);
-      for (std::uint32_t s = 1; s < stages; ++s)
-        for (std::uint64_t t = 0; t < tasks; ++t)
-          run_codelet(plan, s, t, data, twiddles, scratch[0], fuse_log2);
-    }
+    const kernels::RowTables<T> rows = entry.row_tables<T>(dir);
+    std::vector<T>& split = row_split_locked<T>(n, 1)[0];
+    for (const std::span<cplx_t<T>>& data : batch)
+      run_row<T>(rows, data, split, fuse_log2);
     return;
   }
+
+  ensure_worker_buffers<T>(plan.radix(), rt.workers());
+  std::vector<BasicKernelScratch<T>>& scratch = num<T>().scratch;
 
   // Single transforms bit-reverse as a chunked phase on the persistent
   // team (the old free function spawned its own team per call); batches
@@ -741,7 +727,7 @@ void FftExecutor::run_bluestein_locked(const PlanEntry& entry,
   if (st.bluestein_scratch.size() < m) st.bluestein_scratch.resize(m);
   const std::span<cplx_t<T>> buf(st.bluestein_scratch.data(), m);
 
-  for (std::uint64_t j = 0; j < n; ++j) buf[j] = data[j] * chirp[j];
+  for (std::uint64_t j = 0; j < n; ++j) buf[j] = cmul(data[j], chirp[j]);
   std::fill(buf.begin() + static_cast<std::ptrdiff_t>(n), buf.end(),
             cplx_t<T>{});
 
@@ -762,13 +748,14 @@ void FftExecutor::run_bluestein_locked(const PlanEntry& entry,
     }
   };
   run_inner(TwiddleDirection::kForward);
-  for (std::uint64_t j = 0; j < m; ++j) buf[j] *= bfft[j];
+  for (std::uint64_t j = 0; j < m; ++j) buf[j] = cmul(buf[j], bfft[j]);
   run_inner(TwiddleDirection::kInverse);
 
   // Demodulate, folding in the inner inverse's 1/M (the locked bodies
   // never scale; the public inverse wrappers add the outer 1/n on top).
   const T inv_m = static_cast<T>(1.0 / static_cast<double>(m));
-  for (std::uint64_t j = 0; j < n; ++j) data[j] = buf[j] * chirp[j] * inv_m;
+  for (std::uint64_t j = 0; j < n; ++j)
+    data[j] = cmul(buf[j], chirp[j]) * inv_m;
 }
 
 template <typename T>
@@ -792,36 +779,27 @@ void FftExecutor::run_bluestein_batch_locked(
   const std::uint64_t m = entry.conv_size();
   const std::span<const cplx_t<T>> chirp = entry.chirp_for<T>(dir);
   const std::span<const cplx_t<T>> bfft = entry.chirp_fft_for<T>(dir);
-  const FftPlan& plan = conv.plan();
-  const BasicTwiddleTable<T>& tw_fwd =
-      conv.twiddles_for<T>(TwiddleDirection::kForward);
-  const BasicTwiddleTable<T>& tw_inv =
-      conv.twiddles_for<T>(TwiddleDirection::kInverse);
-  const std::uint32_t stages = plan.stage_count();
-  const std::uint64_t tasks = plan.tasks_per_stage();
-  const unsigned bits = plan.log2_size();
+  const kernels::RowTables<T> rows_fwd =
+      conv.row_tables<T>(TwiddleDirection::kForward);
+  const kernels::RowTables<T> rows_inv =
+      conv.row_tables<T>(TwiddleDirection::kInverse);
   const unsigned fuse_log2 = tuned_fuse_locked<T>(m);
-  const std::span<const std::uint32_t> brev(bitrev_table_locked(m, bits));
 
-  ensure_worker_buffers<T>(plan.radix(), rt.workers());
+  std::vector<std::vector<T>>& split = row_split_locked<T>(m, rt.workers());
   NumericState<T>& st = num<T>();
-  std::vector<BasicKernelScratch<T>>& scratch = st.scratch;
-  if (st.row_split.size() < rt.workers()) st.row_split.resize(rt.workers());
   if (st.bluestein_batch_scratch.size() < rt.workers())
     st.bluestein_batch_scratch.resize(rt.workers());
-  for (unsigned w = 0; w < rt.workers(); ++w) {
-    if (st.row_split[w].size() < 2 * m) st.row_split[w].resize(2 * m);
+  for (unsigned w = 0; w < rt.workers(); ++w)
     if (st.bluestein_batch_scratch[w].size() < m)
       st.bluestein_batch_scratch[w].resize(m);
-  }
   const T inv_m = static_cast<T>(1.0 / static_cast<double>(m));
 
   // One phase, one whole-chirp-z-chain codelet per transform: modulate,
   // forward M-point FFT, pointwise filter, inverse M-point FFT,
-  // demodulate — the inner FFTs use the same fused-stage-0 serial classic
-  // body as the one-worker fast path, so each transform's output is
-  // bit-identical to a single run_bluestein_locked call, while B
-  // coalesced transforms pay one phase instead of B whole phased chains.
+  // demodulate — the inner FFTs run the whole-row leaf kernel of the
+  // one-worker fast path, so each transform's output is bit-identical to
+  // a single run_bluestein_locked call, while B coalesced transforms pay
+  // one phase instead of B whole phased chains.
   std::vector<CodeletKey> seeds;
   seeds.reserve(batch.size());
   for (std::uint64_t b = 0; b < batch.size(); ++b) seeds.push_back({0, b});
@@ -831,23 +809,14 @@ void FftExecutor::run_bluestein_batch_locked(
         std::span<cplx_t<T>> data = batch[key.index];
         const std::span<cplx_t<T>> buf(st.bluestein_batch_scratch[worker].data(),
                                        m);
-        T* const re = st.row_split[worker].data();
-        T* const im = re + m;
-        for (std::uint64_t j = 0; j < n; ++j) buf[j] = data[j] * chirp[j];
+        for (std::uint64_t j = 0; j < n; ++j) buf[j] = cmul(data[j], chirp[j]);
         std::fill(buf.begin() + static_cast<std::ptrdiff_t>(n), buf.end(),
                   cplx_t<T>{});
-        const auto serial_fft = [&](const BasicTwiddleTable<T>& tw) {
-          run_stage0_bitrev(plan, buf, tw, brev, re, im, scratch[worker],
-                            fuse_log2);
-          for (std::uint32_t s = 1; s < stages; ++s)
-            for (std::uint64_t t = 0; t < tasks; ++t)
-              run_codelet(plan, s, t, buf, tw, scratch[worker], fuse_log2);
-        };
-        serial_fft(tw_fwd);
-        for (std::uint64_t j = 0; j < m; ++j) buf[j] *= bfft[j];
-        serial_fft(tw_inv);
+        run_row<T>(rows_fwd, buf, split[worker], fuse_log2);
+        for (std::uint64_t j = 0; j < m; ++j) buf[j] = cmul(buf[j], bfft[j]);
+        run_row<T>(rows_inv, buf, split[worker], fuse_log2);
         for (std::uint64_t j = 0; j < n; ++j)
-          data[j] = buf[j] * chirp[j] * inv_m;
+          data[j] = cmul(buf[j], chirp[j]) * inv_m;
       });
 }
 
@@ -858,36 +827,18 @@ void FftExecutor::run_rows_locked(const PlanEntry& entry, std::span<cplx_t<T>> d
                                   TwiddleDirection dir) {
   // Sub-FFT sweep of the four-step path: `row_count` independent
   // `plan.size()`-point transforms over consecutive rows of `data`. Each
-  // row is transformed completely — permutation, then every stage — while
-  // it is cache-resident, by one worker. Routing these rows through the
+  // row is transformed completely by the whole-row leaf kernel while it is
+  // cache-resident, by one worker. Routing these rows through the
   // batch path instead (per-transform dependency counters, root-codelet
   // seeding, stages interleaving across rows) measures ~10% slower at
   // 512 x 512 and evicts rows between their own stages; a row is the
   // natural grain here precisely because the sub-sizes were chosen
   // cache-resident. Chunks of rows seed the persistent team, so multi-
   // worker teams still spread the sweep.
-  const FftPlan& plan = entry.plan();
-  const BasicTwiddleTable<T>& twiddles = entry.twiddles_for<T>(dir);
-  const std::uint64_t row_len = plan.size();
-  const std::uint32_t stages = plan.stage_count();
-  const std::uint64_t tasks = plan.tasks_per_stage();
-
+  const std::uint64_t row_len = entry.plan().size();
+  const kernels::RowTables<T> rows = entry.row_tables<T>(dir);
   codelet::HostRuntime& rt = team(opts.workers, opts.mode);
-  ensure_worker_buffers<T>(plan.radix(), rt.workers());
-  NumericState<T>& st = num<T>();
-
-  // The row permutation repeats row_count times, so computing
-  // bit_reverse(i) per element per row is pure waste: a cached per-length
-  // index table (a few KiB for the cache-resident sub-sizes) feeds
-  // run_stage0_bitrev's fused gather.
-  const std::span<const std::uint32_t> brev(
-      bitrev_table_locked(row_len, plan.log2_size()));
-
-  // Row-length split-complex scratch for the fused stage-0 pass, one per
-  // worker (the kernel scratch is only radix-sized).
-  if (st.row_split.size() < rt.workers()) st.row_split.resize(rt.workers());
-  for (unsigned w = 0; w < rt.workers(); ++w)
-    if (st.row_split[w].size() < 2 * row_len) st.row_split[w].resize(2 * row_len);
+  std::vector<std::vector<T>>& split = row_split_locked<T>(row_len, rt.workers());
 
   // Tuned schedules key on the executed plan's own size — here the
   // sub-FFT row length, so a four-step transform picks up fusion tuned
@@ -899,22 +850,14 @@ void FftExecutor::run_rows_locked(const PlanEntry& entry, std::span<cplx_t<T>> d
   std::vector<CodeletKey> seeds;
   seeds.reserve(grain.chunks);
   for (std::uint64_t c = 0; c < grain.chunks; ++c) seeds.push_back({0, c});
-  rt.run_phase(
-      seeds, PoolPolicy::kFifo,
-      [&](CodeletKey key, unsigned worker, codelet::Pusher&) {
-        T* const re = st.row_split[worker].data();
-        T* const im = re + row_len;
-        const std::uint64_t end = std::min(row_count, (key.index + 1) * per);
-        for (std::uint64_t r = key.index * per; r < end; ++r) {
-          const std::span<cplx_t<T>> row = data.subspan(r * row_len, row_len);
-          run_stage0_bitrev(plan, row, twiddles, brev, re, im,
-                            st.scratch[worker], fuse_log2);
-          for (std::uint32_t stg = 1; stg < stages; ++stg)
-            for (std::uint64_t t = 0; t < tasks; ++t)
-              run_codelet(plan, stg, t, row, twiddles, st.scratch[worker],
-                          fuse_log2);
-        }
-      });
+  rt.run_phase(seeds, PoolPolicy::kFifo,
+               [&](CodeletKey key, unsigned worker, codelet::Pusher&) {
+                 const std::uint64_t end =
+                     std::min(row_count, (key.index + 1) * per);
+                 for (std::uint64_t r = key.index * per; r < end; ++r)
+                   run_row<T>(rows, data.subspan(r * row_len, row_len),
+                              split[worker], fuse_log2);
+               });
 }
 
 template <typename T>
@@ -1063,32 +1006,18 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
   }
 
   // Per-worker buffer prep AFTER any recursion (the inner levels resize
-  // st.scratch / st.row_split for their own plan shapes).
-  const FftPlan& row_plan = entry.row_entry()->plan();
-  const BasicTwiddleTable<T>& row_tw = entry.row_entry()->twiddles_for<T>(dir);
-  const FftPlan* col_plan = nullptr;
-  const BasicTwiddleTable<T>* col_tw = nullptr;
-  std::span<const std::uint32_t> brev1;
+  // st.row_split for their own row lengths).
+  const kernels::RowTables<T> row_tw = entry.row_entry()->row_tables<T>(dir);
+  kernels::RowTables<T> col_tw;
   unsigned col_fuse = 0;
   if (single_level) {
-    col_plan = &entry.col_entry()->plan();
-    col_tw = &entry.col_entry()->twiddles_for<T>(dir);
-    ensure_worker_buffers<T>(std::max(col_plan->radix(), row_plan.radix()),
-                             workers);
-    brev1 = std::span<const std::uint32_t>(
-        bitrev_table_locked(n1, col_plan->log2_size()));
+    col_tw = entry.col_entry()->row_tables<T>(dir);
     col_fuse = tuned_fuse_locked<T>(n1);
-  } else {
-    ensure_worker_buffers<T>(row_plan.radix(), workers);
   }
-  const std::span<const std::uint32_t> brev2(
-      bitrev_table_locked(n2, row_plan.log2_size()));
   const unsigned row_fuse = tuned_fuse_locked<T>(n2);
-  const std::uint64_t split_len = single_level ? std::max(n1, n2) : n2;
-  if (st.row_split.size() < workers) st.row_split.resize(workers);
-  for (unsigned w = 0; w < workers; ++w)
-    if (st.row_split[w].size() < 2 * split_len)
-      st.row_split[w].resize(2 * split_len);
+  ensure_key_buffers(workers);
+  std::vector<std::vector<T>>& split =
+      row_split_locked<T>(single_level ? std::max(n1, n2) : n2, workers);
 
   const HierarchicalGrain grain =
       hierarchical_grain(n1, n2, workers, sizeof(cplx_t<T>),
@@ -1111,8 +1040,6 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
 
   const cplx_t<T> w1 = unit_root<T>(n, 1, dir);
   const kernels::KernelDispatch<T>& K = kernels::active_kernels<T>();
-  const std::uint32_t row_stages = row_plan.stage_count();
-  const std::uint64_t row_tasks = row_plan.tasks_per_stage();
 
   // Stage layout {T1, T2, T4}: only T4 fans in through the counters (the
   // T1 -> T2 edge is a direct push), so stages 0/1 have zero groups. A
@@ -1163,19 +1090,8 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
       // T4 whose fan-in completes with this block.
       const std::uint64_t r0b = key.index * br1;
       const std::uint64_t rend = std::min(n2, r0b + br1);
-      T* const re = st.row_split[worker].data();
-      T* const im = re + n1;
-      for (std::uint64_t r = r0b; r < rend; ++r) {
-        const std::span<cplx_t<T>> row = s.subspan(r * n1, n1);
-        run_stage0_bitrev(*col_plan, row, *col_tw, brev1, re, im,
-                          st.scratch[worker], col_fuse);
-        const std::uint32_t col_stages = col_plan->stage_count();
-        const std::uint64_t col_tasks = col_plan->tasks_per_stage();
-        for (std::uint32_t stg = 1; stg < col_stages; ++stg)
-          for (std::uint64_t t = 0; t < col_tasks; ++t)
-            run_codelet(*col_plan, stg, t, row, *col_tw, st.scratch[worker],
-                        col_fuse);
-      }
+      for (std::uint64_t r = r0b; r < rend; ++r)
+        run_row<T>(col_tw, s.subspan(r * n1, n1), split[worker], col_fuse);
       std::vector<CodeletKey>& keys = keys_buf_[worker];
       keys.clear();
       for (std::uint64_t j = 0; j < B2; ++j)
@@ -1203,17 +1119,9 @@ void FftExecutor::run_hierarchical_locked(const PlanEntry& entry,
                                         std::min(rend, c0 + kTransposeTile),
                                         w1, r0b);
     }
-    T* const re = st.row_split[worker].data();
-    T* const im = re + n2;
-    for (std::uint64_t r = r0b; r < rend; ++r) {
-      const std::span<cplx_t<T>> row(panel + (r - r0b) * n2, n2);
-      run_stage0_bitrev(row_plan, row, row_tw, brev2, re, im,
-                        st.scratch[worker], row_fuse);
-      for (std::uint32_t stg = 1; stg < row_stages; ++stg)
-        for (std::uint64_t t = 0; t < row_tasks; ++t)
-          run_codelet(row_plan, stg, t, row, row_tw, st.scratch[worker],
-                      row_fuse);
-    }
+    for (std::uint64_t r = r0b; r < rend; ++r)
+      run_row<T>(row_tw, std::span<cplx_t<T>>(panel + (r - r0b) * n2, n2),
+                 split[worker], row_fuse);
     for (std::uint64_t r0 = r0b; r0 < rend; r0 += kTransposeTile) {
       const std::uint64_t rmax = std::min(rend, r0 + kTransposeTile);
       for (std::uint64_t c0 = 0; c0 < n2; c0 += kTransposeTile) {
@@ -1428,8 +1336,6 @@ void FftExecutor::shutdown_locked() {
   f32_.bluestein_batch_scratch.shrink_to_fit();
   f32_.row_split.clear();
   f32_.scratch_radix = 0;
-  bitrev_tables_.clear();
-  bitrev_tables_.shrink_to_fit();
 }
 
 void FftExecutor::close() {

@@ -37,6 +37,16 @@
 // counter fan-ins replace every full-array sync point. See DESIGN.md
 // "Hierarchical multi-level path".
 //
+// Serial row body: every pow2 transform that one worker runs from start to
+// finish — the one-worker classic fast path, the four-step row sweeps, the
+// hierarchical column (T2) and row (T4) sweeps, and each transform of a
+// batched Bluestein chain — is ONE call of the whole-row leaf kernel
+// (kernels::KernelDispatch::run_row) against the classic PlanEntry's
+// lazily built row tables (PlanEntry::row_tables: bit-reversal index and
+// level-major split twiddles). Only the phased multi-worker classic path
+// still walks the plan stage by stage through run_codelet. Both give the
+// same bits. See DESIGN.md "The whole-row leaf kernel".
+//
 // Precision: every entry point exists for cplx (f64) and cplx32 (f32).
 // The two precisions dispatch through one shared member-template body
 // (run_t<T> and friends, defined in executor.cpp), share the ONE
@@ -363,10 +373,10 @@ class FftExecutor {
  private:
   /// Per-precision mutable working set: per-worker kernel scratch tiles,
   /// the four-step ping buffer, and the per-worker row-length split
-  /// scratch of the fused stage-0 pass. One instance per element width so
-  /// alternating precisions never thrash each other's allocations; the
-  /// worker team, key/member buffers, and bit-reversal index table stay
-  /// shared (they are precision-independent).
+  /// scratch of the whole-row leaf kernel. One instance per element width
+  /// so alternating precisions never thrash each other's allocations; the
+  /// worker team and key/member buffers stay shared (they are
+  /// precision-independent).
   template <typename T>
   struct NumericState {
     std::vector<BasicKernelScratch<T>> scratch;
@@ -416,8 +426,17 @@ class FftExecutor {
   }
 
   codelet::HostRuntime& team(unsigned workers, codelet::SchedulerMode mode);
+  /// Per-worker codelet kernel scratch of at least `radix` points, plus
+  /// the key buffers (mutex_ held).
   template <typename T>
   void ensure_worker_buffers(std::uint64_t radix, unsigned workers);
+  /// Per-worker key/member buffers of the readiness-propagating bodies.
+  void ensure_key_buffers(unsigned workers);
+  /// Per-worker split scratch of the whole-row leaf kernel (mutex_ held):
+  /// `workers` buffers of at least 2 * len scalars, grown, never shrunk.
+  template <typename T>
+  std::vector<std::vector<T>>& row_split_locked(std::uint64_t len,
+                                                unsigned workers);
   template <typename T>
   void run_t(std::span<const std::span<cplx_t<T>>> batch,
              const HostFftOptions& opts, Variant variant, TwiddleDirection dir);
@@ -486,8 +505,8 @@ class FftExecutor {
   /// transform — each worker runs the whole chirp-z chain (modulate,
   /// serial M-point forward, pointwise, serial M-point inverse,
   /// demodulate) against its own convolution buffer, using the same
-  /// fused-stage-0 serial classic body as the one-worker fast path (bit-
-  /// identical to the phased inner transforms by the classic contract).
+  /// whole-row leaf kernel as the one-worker fast path (bit-identical to
+  /// the phased inner transforms by the classic contract).
   /// Falls back to the per-transform path for one-worker teams and for
   /// convolution sizes that route four-step/hierarchical (those pipelines
   /// cannot nest inside a codelet).
@@ -515,13 +534,6 @@ class FftExecutor {
   /// shared body of shutdown() and close().
   void shutdown_locked();
 
-  /// Cached bit-reversal index table for row length `len` (mutex_ held):
-  /// one table per distinct length, so mixed multi-tenant traffic
-  /// alternating sizes does not rebuild (and reallocate) the table on
-  /// every size switch the way a single-slot cache did.
-  const std::vector<std::uint32_t>& bitrev_table_locked(std::uint64_t len,
-                                                        unsigned bits);
-
   ExecutorOptions opts_;
   PlanCache cache_;
   /// Atomic so the routing check in run() needs no lock; 0 = disabled.
@@ -538,10 +550,6 @@ class FftExecutor {
   std::vector<std::vector<codelet::CodeletKey>> keys_buf_;
   NumericState<double> f64_;
   NumericState<float> f32_;
-  /// Bit-reversal index tables keyed by row length, shared across
-  /// precisions (pure index algebra). Insert-ordered; bounded by evicting
-  /// the oldest entry (see bitrev_table_locked).
-  std::vector<std::pair<std::uint64_t, std::vector<std::uint32_t>>> bitrev_tables_;
   codelet::PhaseHook phase_hook_;
   std::uint64_t transforms_ = 0;
   std::uint64_t batched_ = 0;

@@ -64,30 +64,6 @@ void run_codelet(const FftPlan& plan, std::uint32_t stage, std::uint64_t task,
                  KernelScratchF& scratch,
                  unsigned fuse_log2 = kernels::kDefaultFuseLog2);
 
-/// Fused bit-reversal + stage-0 sweep of one whole transform: gathers all
-/// of `data` through the precomputed bit-reversal index table into a
-/// transform-length split-complex scratch, applies every stage-0 chain
-/// there, and scatters back contiguously. One read and one write pass over
-/// the data replace the separate permutation pass plus stage 0's own pass;
-/// the four-step sub-sweeps (FftExecutor::run_rows_locked) run their rows
-/// through this. Bit-identical to bit-reversing `data` and then running
-/// every stage-0 codelet via run_codelet.
-///
-/// Requirements: `bitrev_idx[g]` is the log2_size()-bit reversal of g for
-/// g < plan.size(); `re`/`im` hold plan.size() scalars. (Stage 0 always
-/// has chain_stride == 1, so the split scratch holds its chains
-/// contiguously — asserted.)
-void run_stage0_bitrev(const FftPlan& plan, std::span<cplx> data,
-                       const TwiddleTable& twiddles,
-                       std::span<const std::uint32_t> bitrev_idx, double* re,
-                       double* im, KernelScratch& scratch,
-                       unsigned fuse_log2 = kernels::kDefaultFuseLog2);
-void run_stage0_bitrev(const FftPlan& plan, std::span<cplx32> data,
-                       const TwiddleTableF& twiddles,
-                       std::span<const std::uint32_t> bitrev_idx, float* re,
-                       float* im, KernelScratchF& scratch,
-                       unsigned fuse_log2 = kernels::kDefaultFuseLog2);
-
 /// Reference scalar implementation on std::complex scratch (the original
 /// kernel): kept for unit tests and the vectorized-vs-old benchmark.
 void run_codelet_scalar(const FftPlan& plan, std::uint32_t stage, std::uint64_t task,

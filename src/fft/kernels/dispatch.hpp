@@ -2,11 +2,11 @@
 // Runtime-dispatched explicit-SIMD kernel table.
 //
 // Every data-parallel inner loop of the hot path — the split-complex
-// butterfly levels, the fused radix-4/8 first pass, the complex
-// de/interleave of the codelet gather/scatter (strided and bit-reversal
-// permuted), the Stockham combine pass, and the tiled-transpose copy — is
-// reached through one KernelDispatch<T> of function pointers instead of
-// being compiled inline. Three tables
+// butterfly levels, the fused radix-4/8 first pass, the whole-row leaf
+// kernel (bit-reversal permuted gather included), the complex
+// de/interleave of the codelet gather/scatter, the Stockham combine pass,
+// and the tiled-transpose copy — is reached through one KernelDispatch<T> of
+// function pointers instead of being compiled inline. Three tables
 // exist per precision:
 //
 //   scalar  — the portable kernels (the pre-existing autovectorized
@@ -47,6 +47,20 @@ namespace c64fft::fft::kernels {
 /// bit-identical results, only the loop structure changes.
 inline constexpr unsigned kDefaultFuseLog2 = 3;
 
+/// Tables of the whole-row leaf kernel (KernelDispatch::run_row), owned by
+/// the classic PlanEntry (PlanEntry::row_tables): the row's bit-reversal
+/// index and its level-major split twiddles. Level L's 2^L twiddles
+/// W[u << (log2n - L - 1)], u < 2^L, sit at offset 2^L - 1, so the seven
+/// twiddles of the fused radix-8 first pass (levels 0..2) are the first
+/// seven entries, in the order fused8_group reads them.
+template <typename T>
+struct RowTables {
+  unsigned log2n = 0;
+  const std::uint32_t* bitrev = nullptr;  ///< 2^log2n entries
+  const T* tw_re = nullptr;               ///< 2^log2n - 1 entries
+  const T* tw_im = nullptr;
+};
+
 template <typename T>
 struct KernelDispatch {
   /// The table's ISA level and its stable id ("scalar"/"avx2"/"avx512") —
@@ -62,16 +76,21 @@ struct KernelDispatch {
                       const BasicTwiddleTable<T>& twiddles, T* tw_re, T* tw_im,
                       unsigned fuse_log2);
 
+  /// Whole-row leaf kernel: the complete 2^log2n-point DIT FFT of the
+  /// contiguous row `data`, in place. One permuted gather into the split
+  /// scratch re/im (2^log2n scalars each), the fused first pass (capped by
+  /// fuse_log2) and then one whole-row sweep per remaining level, one
+  /// contiguous scatter back. Every butterfly sees the inputs, twiddle
+  /// value and operation sequence of the stage-by-stage codelet path
+  /// (bitrev, then run_codelet over every stage): bit-identical to it.
+  /// bitrev entries must be < 2^30 (the SIMD tables address scalar
+  /// components through i32 gather indices).
+  void (*run_row)(const RowTables<T>& tables, cplx_t<T>* data, T* re, T* im,
+                  unsigned fuse_log2);
+
   /// Deinterleave `count` complex elements at src[k * stride] into re/im.
   void (*gather_split)(const cplx_t<T>* src, std::uint64_t stride,
                        std::uint64_t count, T* re, T* im);
-
-  /// Permuted deinterleave: re/im[k] = src[idx[k]] — the bit-reversal
-  /// reorder fused with the split-complex gather that opens stage 0
-  /// (kernel.cpp run_stage0_bitrev). idx entries must be < 2^30 (the SIMD
-  /// tables address scalar components through i32 gather indices).
-  void (*permute_split)(const cplx_t<T>* src, const std::uint32_t* idx,
-                        std::uint64_t count, T* re, T* im);
 
   /// Re-interleave re/im into dst[k * stride].
   void (*scatter_merge)(const T* re, const T* im, std::uint64_t count,

@@ -16,6 +16,7 @@
 #include <cassert>
 #include <cstdint>
 
+#include "fft/kernels/dispatch.hpp"
 #include "fft/twiddle.hpp"
 #include "fft/types.hpp"
 
@@ -208,6 +209,26 @@ inline void generic_level(T* __restrict re, T* __restrict im, std::uint64_t len,
   }
 }
 
+/// Level schedule shared by every table's run_row: the widest fused first
+/// pass fuse_log2 and the row length allow (`fused(f)` runs it with the
+/// 2^f - 1 twiddles at the head of the level-major table), then
+/// `level(half, tw_re, tw_im)` once per remaining level over the whole
+/// row, with that level's slice of the table.
+template <typename T, typename Fused, typename Level>
+inline void row_levels(const RowTables<T>& t, unsigned fuse_log2,
+                       Fused&& fused, Level&& level) {
+  unsigned first = 0;
+  if (fuse_log2 >= 3 && t.log2n >= 3)
+    first = 3;
+  else if (fuse_log2 >= 2 && t.log2n >= 2)
+    first = 2;
+  if (first != 0) fused(first);
+  for (unsigned v = first; v < t.log2n; ++v) {
+    const std::uint64_t half = std::uint64_t{1} << v;
+    level(half, t.tw_re + (half - 1), t.tw_im + (half - 1));
+  }
+}
+
 // ---- Portable kernel bodies (the scalar dispatch table) ----
 
 template <typename T>
@@ -279,6 +300,27 @@ void scatter_merge_generic(const T* __restrict re, const T* __restrict im,
                            std::uint64_t stride) {
   for (std::uint64_t q = 0; q < count; ++q)
     dst[q * stride] = cplx_t<T>(re[q], im[q]);
+}
+
+template <typename T>
+void run_row_generic(const RowTables<T>& t, cplx_t<T>* data, T* re, T* im,
+                     unsigned fuse_log2) {
+  const std::uint64_t n = std::uint64_t{1} << t.log2n;
+  permute_split_generic<T>(data, t.bitrev, n, re, im);
+  row_levels<T>(
+      t, fuse_log2,
+      [&](unsigned f) {
+        for (std::uint64_t g = 0; g < n; g += std::uint64_t{1} << f) {
+          if (f == 3)
+            fused8_group<T>(re + g, im + g, t.tw_re, t.tw_im);
+          else
+            fused4_group<T>(re + g, im + g, t.tw_re, t.tw_im);
+        }
+      },
+      [&](std::uint64_t half, const T* wr, const T* wi) {
+        span_level<T>(re, im, n, half, wr, wi);
+      });
+  scatter_merge_generic<T>(re, im, n, data, 1);
 }
 
 template <typename T>

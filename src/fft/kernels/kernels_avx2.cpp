@@ -18,8 +18,8 @@ const KernelDispatch<T> kAvx2Table{
     util::IsaLevel::kAvx2,
     "avx2",
     &chain_split_avx2<T>,
+    &run_row_avx2<T>,
     &gather_split_avx2<T>,
-    &permute_split_avx2<T>,
     &scatter_merge_avx2<T>,
     &stockham_combine_avx2<T>,
     &transpose_tile_avx2<T>,

@@ -16,8 +16,8 @@ constexpr KernelDispatch<T> make_scalar_table() {
       util::IsaLevel::kScalar,
       "scalar",
       &chain_split_generic<T>,
+      &run_row_generic<T>,
       &gather_split_generic<T>,
-      &permute_split_generic<T>,
       &scatter_merge_generic<T>,
       &stockham_combine_generic<T>,
       &transpose_tile_generic<T>,

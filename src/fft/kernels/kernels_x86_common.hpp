@@ -400,10 +400,10 @@ inline void gather_strided_avx2(const double* s, std::uint64_t stride2,
 
 // ---- Bit-reversal permuted split loads ----
 //
-// re/im[q] = src[idx[q]]: the index vector comes from memory (the cached
-// bit-reversal table) instead of an affine progression, otherwise the
-// same two-gathers-per-vector shape as the strided path. idx entries are
-// < 2^30 by the dispatch contract, so doubling into scalar-component
+// re/im[q] = src[idx[q]]: the index vector comes from memory (the plan
+// entry's bit-reversal index) instead of an affine progression, otherwise
+// the same two-gathers-per-vector shape as the strided path. idx entries
+// are < 2^30 by the run_row contract, so doubling into scalar-component
 // indices cannot overflow i32.
 
 inline void permute_split_x86(const cplx_t<float>* src,
@@ -444,12 +444,6 @@ inline void permute_split_x86(const cplx_t<double>* src,
     re[q] = x.real();
     im[q] = x.imag();
   }
-}
-
-template <typename T>
-void permute_split_avx2(const cplx_t<T>* src, const std::uint32_t* idx,
-                        std::uint64_t count, T* re, T* im) {
-  permute_split_x86(src, idx, count, re, im);
 }
 
 template <typename T>
@@ -496,6 +490,33 @@ void scatter_merge_avx2(const T* re, const T* im, std::uint64_t count,
       interleave4_pd(re + q, im + q, d + 2 * q);
   }
   for (; q < count; ++q) dst[q] = cplx_t<T>(re[q], im[q]);
+}
+
+// ---- run_row: permuted gather, register-blocked fused first pass, one
+// 256-bit shared-twiddle sweep per remaining level, contiguous scatter ----
+
+template <typename T>
+void run_row_avx2(const RowTables<T>& t, cplx_t<T>* data, T* re, T* im,
+                  unsigned fuse_log2) {
+  const std::uint64_t n = std::uint64_t{1} << t.log2n;
+  permute_split_x86(data, t.bitrev, n, re, im);
+  row_levels<T>(
+      t, fuse_log2,
+      [&](unsigned f) {
+        if (f == 3) {
+          fused8_pass_avx2(re, im, n, t.tw_re, t.tw_im);
+        } else {
+          for (std::uint64_t g = 0; g < n; g += 4)
+            fused4_group<T>(re + g, im + g, t.tw_re, t.tw_im);
+        }
+      },
+      [&](std::uint64_t half, const T* wr, const T* wi) {
+        if (half >= kAvx2Width<T>)
+          span_level_avx2(re, im, n, half, wr, wi);
+        else
+          span_level<T>(re, im, n, half, wr, wi);
+      });
+  scatter_merge_avx2<T>(re, im, n, data, 1);
 }
 
 // ---- Stockham combine: addsub-based complex multiply on interleaved

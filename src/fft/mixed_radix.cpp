@@ -11,16 +11,6 @@ namespace c64fft::fft {
 
 namespace {
 
-/// Naive complex product. std::complex operator* lowers to the __muldc3
-/// libcall (NaN/Inf recovery branches) and costs ~3x the four-mul kernel
-/// on finite inputs; every value in an FFT stage is finite, where the two
-/// agree bit-for-bit, so the stage runners use this form.
-template <typename T>
-inline cplx_t<T> cmul(const cplx_t<T>& a, const cplx_t<T>& b) {
-  return cplx_t<T>(a.real() * b.real() - a.imag() * b.imag(),
-                   a.real() * b.imag() + a.imag() * b.real());
-}
-
 /// Codelet DFT-matrix constants of an odd radix R: c[k-1][j-1] =
 /// cos(2*pi*k*j/R), s[k-1][j-1] = sin(2*pi*k*j/R) for k, j in
 /// [1, (R-1)/2]. Evaluated once in double; the f32 codelet narrows at

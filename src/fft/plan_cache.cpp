@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "fft/reference.hpp"
+#include "util/bit_ops.hpp"
 #include "util/cpu_features.hpp"
 
 namespace c64fft::fft {
@@ -258,6 +259,41 @@ const TwiddleTableF& PlanEntry::twiddles_f32(TwiddleDirection dir) const {
   });
   return *inverse32_;
 }
+
+template <typename T>
+kernels::RowTables<T> PlanEntry::row_tables(TwiddleDirection dir) const {
+  const BasicTwiddleTable<T>& tw = twiddles_for<T>(dir);
+  const unsigned log2n = plan_->log2_size();
+  const std::uint64_t n = key_.n;
+  std::call_once(bitrev_once_, [&] {
+    bitrev_.resize(n);
+    for (std::uint64_t i = 0; i < n; ++i)
+      bitrev_[i] = static_cast<std::uint32_t>(util::bit_reverse(i, log2n));
+  });
+  const int d = dir == TwiddleDirection::kInverse ? 1 : 0;
+  std::vector<T>* split;
+  if constexpr (std::is_same_v<T, float>)
+    split = &row_tw32_[d];
+  else
+    split = &row_tw_[d];
+  std::call_once(row_once_[d], [&] {
+    split->resize(2 * n);
+    for (unsigned level = 0; level < log2n; ++level) {
+      const std::uint64_t half = std::uint64_t{1} << level;
+      for (std::uint64_t u = 0; u < half; ++u) {
+        const cplx_t<T> w = tw.at(u << (log2n - level - 1));
+        (*split)[half - 1 + u] = w.real();
+        (*split)[n + half - 1 + u] = w.imag();
+      }
+    }
+  });
+  return {log2n, bitrev_.data(), split->data(), split->data() + n};
+}
+
+template kernels::RowTables<float> PlanEntry::row_tables<float>(
+    TwiddleDirection) const;
+template kernels::RowTables<double> PlanEntry::row_tables<double>(
+    TwiddleDirection) const;
 
 PlanCache::PlanCache(std::size_t capacity)
     : capacity_(std::max<std::size_t>(1, capacity)) {}

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "codelet/dep_counter.hpp"
+#include "fft/kernels/dispatch.hpp"
 #include "fft/mixed_radix.hpp"
 #include "fft/plan.hpp"
 #include "fft/schedule.hpp"
@@ -138,6 +139,15 @@ class PlanEntry {
       return twiddles(dir);
   }
 
+  /// Tables of the whole-row leaf kernel (kernels::KernelDispatch::
+  /// run_row) at the key's precision: the bit-reversal index (shared by
+  /// both directions) and the level-major split twiddles of `dir`, read
+  /// from twiddles_for<T>(dir) so every value is that table's. Built on
+  /// first request and cached for the entry's lifetime, so entries that
+  /// only run the phased codelet path never pay for them. Classic only.
+  template <typename T>
+  kernels::RowTables<T> row_tables(TwiddleDirection dir) const;
+
   /// Fresh per-transform counter set matching this plan (stage 0 has no
   /// producers; stages 1..S-1 use the plan's sibling-group algebra). Both
   /// the fine and guided drivers consume this full-range shape. Classic
@@ -225,6 +235,14 @@ class PlanEntry {
   mutable std::unique_ptr<TwiddleTableF> inverse32_;
   std::vector<std::uint64_t> groups_;
   std::vector<std::uint32_t> thresholds_;
+  // Lazy whole-row kernel tables (row_tables): the bit-reversal index and,
+  // per direction, 2N split twiddle scalars (re at [0, N), im at
+  // [N, 2N)) at the key's precision.
+  mutable std::once_flag bitrev_once_;
+  mutable std::vector<std::uint32_t> bitrev_;
+  mutable std::once_flag row_once_[2];
+  mutable std::vector<double> row_tw_[2];
+  mutable std::vector<float> row_tw32_[2];
   // Composite state (empty for classic entries).
   FourStepSplit split_;
   unsigned levels_ = 1;

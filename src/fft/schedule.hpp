@@ -6,7 +6,8 @@
 // carries the two searched knobs:
 //   radix_log2 — the plan's codelet radix (changes the stage
 //                decomposition, and with it the task graph, the chain
-//                algebra, and the memory-traffic census), and
+//                algebra, and the memory-traffic census; serial row
+//                bodies run the whole-row kernel and ignore it), and
 //   fuse_log2  — how many leading butterfly levels of each chain the
 //                kernel collapses into one fused pass (3 = radix-8,
 //                2 = radix-4, 0 = per-level loops only).

@@ -97,11 +97,11 @@ inline void transpose_twiddle_tile(const cplx_t<T>* src, cplx_t<T>* dst,
   for (std::uint64_t r = r0; r < rmax; ++r) {
     cplx_t<T> w = w_row;
     for (std::uint64_t c = c0; c < cmax; ++c) {
-      dst[c * rows + r] = src[r * cols + c] * w;
-      w *= step;
+      dst[c * rows + r] = cmul(src[r * cols + c], w);
+      w = cmul(w, step);
     }
-    w_row *= w_col;
-    step *= w1;
+    w_row = cmul(w_row, w_col);
+    step = cmul(step, w1);
   }
 }
 
@@ -136,15 +136,15 @@ inline void transpose_twiddle_tile_panel(const cplx_t<T>* src, cplx_t<T>* dst,
   for (std::uint64_t i = 0; i < tr; ++i) {
     w[i] = w_row;
     stp[i] = step;
-    w_row *= w_col;
-    step *= w1;
+    w_row = cmul(w_row, w_col);
+    step = cmul(step, w1);
   }
   for (std::uint64_t c = c0; c < cmax; ++c) {
     cplx_t<T>* const out = dst + (c - dst_col0) * rows + r0;
     const cplx_t<T>* const in = src + r0 * cols + c;
     for (std::uint64_t i = 0; i < tr; ++i) {
-      out[i] = in[i * cols] * w[i];
-      w[i] *= stp[i];
+      out[i] = cmul(in[i * cols], w[i]);
+      w[i] = cmul(w[i], stp[i]);
     }
   }
 }

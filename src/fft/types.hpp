@@ -21,6 +21,17 @@ using cplx = cplx_t<double>;
 /// Single-precision complex.
 using cplx32 = cplx_t<float>;
 
+/// Naive complex product. std::complex operator* computes the same four
+/// products and two sums, then takes the Annex G recovery branch (the
+/// __mulsc3/__muldc3 libcall) when both parts come out NaN; that branch
+/// costs a compare per product and blocks vectorization. For finite
+/// operands the two agree bit-for-bit, so hot loops use this form.
+template <typename T>
+inline cplx_t<T> cmul(const cplx_t<T>& a, const cplx_t<T>& b) {
+  return cplx_t<T>(a.real() * b.real() - a.imag() * b.imag(),
+                   a.real() * b.imag() + a.imag() * b.real());
+}
+
 /// Runtime tag of a transform's element type: the plan-cache key, the
 /// executor entry points, and the byte-level analyses (bank balance,
 /// cache sets, simulated footprints) are parameterized by it.

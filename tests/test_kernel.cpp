@@ -3,13 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "fft/bit_reversal.hpp"
+#include "fft/plan_cache.hpp"
 #include "fft/reference.hpp"
 #include "fft/stockham.hpp"
 #include "fft/transpose.hpp"
-#include "util/bit_ops.hpp"
 #include "util/cpu_features.hpp"
 #include "util/prng.hpp"
 #include "util/ulp.hpp"
@@ -61,36 +62,6 @@ void check_split_matches_scalar(std::uint64_t n, unsigned radix_log2,
       run_codelet_scalar(plan, s, i, b, tw, scalar_scratch);
     }
   ASSERT_EQ(max_abs_error(a, b), 0.0) << "n=" << n << " r=" << radix_log2;
-}
-
-// The fused bit-reversal + stage-0 sweep must be bit-identical to
-// bit-reversing the data and then running every stage-0 codelet — it is
-// the same butterflies in the same order, only the permutation is folded
-// into the gather.
-void check_stage0_bitrev_fused(std::uint64_t n, unsigned radix_log2) {
-  auto fused = random_signal(n, n ^ 0xB17E);
-  auto ref = fused;
-  const FftPlan plan(n, radix_log2);
-  const TwiddleTable tw(n, TwiddleLayout::kLinear);
-  KernelScratch scratch(plan.radix());
-
-  bit_reverse_permute(ref);
-  for (std::uint64_t i = 0; i < plan.tasks_per_stage(); ++i)
-    run_codelet(plan, 0, i, ref, tw, scratch);
-
-  std::vector<std::uint32_t> brev(n);
-  for (std::uint64_t i = 0; i < n; ++i)
-    brev[i] = static_cast<std::uint32_t>(util::bit_reverse(i, plan.log2_size()));
-  std::vector<double> split(2 * n);
-  run_stage0_bitrev(plan, fused, tw, brev, split.data(), split.data() + n,
-                    scratch);
-  ASSERT_EQ(max_abs_error(fused, ref), 0.0) << "n=" << n << " r=" << radix_log2;
-}
-
-TEST(Kernel, Stage0BitrevFusedMatchesUnfused) {
-  check_stage0_bitrev_fused(1ULL << 12, 6);
-  check_stage0_bitrev_fused(1ULL << 9, 6);   // partial last stage
-  check_stage0_bitrev_fused(1ULL << 10, 3);
 }
 
 TEST(Kernel, Radix64FullStages) { check_stagewise(1ULL << 12, 6, TwiddleLayout::kLinear); }
@@ -309,6 +280,72 @@ TEST(KernelDispatch, EnvRequestsAboveSupportClampDown) {
   kernels::reset_kernel_isa_from_env();
   EXPECT_LE(static_cast<int>(kernels::active_kernel_isa()),
             static_cast<int>(util::best_supported_isa()));
+}
+
+// ---- Whole-row leaf kernel ----
+//
+// run_row must reproduce the stage-by-stage codelet path bit for bit:
+// bit-reverse, then every stage's codelets through the std::complex oracle
+// (run_codelet_scalar). Swept over every row length from 2 to 2^16, both
+// precisions and directions, both twiddle layouts (the level-major row
+// table reads its values through the layout), every fuse_log2 setting,
+// and every ISA tier this host supports.
+
+template <typename T>
+void check_run_row_matrix() {
+  util::Xoshiro256 rng(0x20E);
+  for (unsigned logn = 1; logn <= 16; ++logn) {
+    const std::uint64_t n = std::uint64_t{1} << logn;
+    std::vector<cplx_t<T>> input(n);
+    for (cplx_t<T>& v : input)
+      v = cplx_t<T>(static_cast<T>(rng.next_double() * 2 - 1),
+                    static_cast<T>(rng.next_double() * 2 - 1));
+    std::vector<T> split(2 * n);
+    for (const TwiddleLayout layout :
+         {TwiddleLayout::kLinear, TwiddleLayout::kBitReversed}) {
+      const PlanEntry entry(PlanKey{n, std::min(6u, logn), layout,
+                                    PlanKind::kClassic, precision_of<T>});
+      const FftPlan& plan = entry.plan();
+      for (const TwiddleDirection dir :
+           {TwiddleDirection::kForward, TwiddleDirection::kInverse}) {
+        std::vector<cplx_t<T>> want = input;
+        std::vector<cplx_t<T>> oracle_scratch(plan.radix());
+        bit_reverse_permute(std::span<cplx_t<T>>(want));
+        for (std::uint32_t s = 0; s < plan.stage_count(); ++s)
+          for (std::uint64_t t = 0; t < plan.tasks_per_stage(); ++t)
+            run_codelet_scalar(plan, s, t, std::span<cplx_t<T>>(want),
+                               entry.twiddles_for<T>(dir), oracle_scratch);
+
+        const kernels::RowTables<T> tables = entry.row_tables<T>(dir);
+        for (const util::IsaLevel isa :
+             {util::IsaLevel::kScalar, util::IsaLevel::kAvx2,
+              util::IsaLevel::kAvx512}) {
+          if (!util::isa_supported(isa)) continue;
+          for (const unsigned fuse : {0u, 2u, 3u}) {
+            std::vector<cplx_t<T>> got = input;
+            kernels::kernels_for<T>(isa).run_row(tables, got.data(),
+                                                 split.data(),
+                                                 split.data() + n, fuse);
+            ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                  n * sizeof(cplx_t<T>)),
+                      0)
+                << "isa=" << util::to_string(isa) << " n=" << n
+                << " fuse=" << fuse << " layout="
+                << (layout == TwiddleLayout::kLinear ? "linear" : "bitrev")
+                << " inverse=" << (dir == TwiddleDirection::kInverse);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelDispatch, RunRowMatchesScalarCodeletsF32) {
+  check_run_row_matrix<float>();
+}
+
+TEST(KernelDispatch, RunRowMatchesScalarCodeletsF64) {
+  check_run_row_matrix<double>();
 }
 
 TEST(ButterflyChain, SplitMatchesComplexOnGenericChain) {

@@ -6,7 +6,12 @@
 // many leading butterfly levels each chain collapses into one fused
 // pass) — through the real FftExecutor path, and keeps the fastest. Every
 // candidate computes bit-identical results; only throughput differs, so
-// the search is purely a timing exercise.
+// the search is purely a timing exercise. Serial row bodies (the
+// one-worker path the tuner measures, and the four-step / hierarchical /
+// Bluestein row sweeps) run the whole-row leaf kernel, which does not
+// follow the plan's stages: there radix_log2 changes nothing and only
+// fuse_log2 matters. radix_log2 still shapes the phased multi-worker
+// classic path.
 //
 // Each candidate is installed as a one-entry ScheduleSet on the executor
 // (exactly the mechanism production uses to consume a tuned file), so the
