@@ -36,9 +36,11 @@ if [[ $fast -eq 0 ]]; then
   echo "== precision label under UBSan =="
   ctest --test-dir build-ubsan -L precision --output-on-failure
   # TSan watches the concurrency surface: the work-stealing deques, the
-  # runtime's phase/counter machinery, the executor's batched dispatch and
-  # the hierarchical tile pipeline (dependency-counted cross-stage pushes
-  # are exactly where a missed release order would race). Only the
+  # runtime's phase/counter machinery, the executor's batched dispatch
+  # (test_mixed_radix runs composite and Bluestein batches on per-worker
+  # scratch across worker counts) and the hierarchical tile pipeline
+  # (dependency-counted cross-stage pushes are exactly where a missed
+  # release order would race). Only the
   # threaded tests run here — TSan is slow, and the numeric tests add no
   # thread interleavings it could observe. (ASan and TSan are mutually
   # exclusive instrumentations, hence the separate tree.)
@@ -46,7 +48,7 @@ if [[ $fast -eq 0 ]]; then
   cmake -B build-tsan -S . -DC64FFT_TSAN=ON >/dev/null
   cmake --build build-tsan -j
   ctest --test-dir build-tsan --output-on-failure -j \
-    -R 'test_executor|test_ws_deque|test_ws_runtime|test_host_runtime|test_serve|test_hierarchical'
+    -R 'test_executor|test_ws_deque|test_ws_runtime|test_host_runtime|test_serve|test_hierarchical|test_mixed_radix'
 fi
 
 echo "check.sh: all configurations passed"

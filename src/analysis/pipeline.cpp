@@ -1,5 +1,6 @@
 #include "analysis/pipeline.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -74,14 +75,15 @@ struct ClassicPhaseSpec {
   std::string prefix;
 };
 
-/// Appends the classic phases of one (possibly batched) plan execution:
-/// the permutation phase exactly as the executor grains it — chunked
-/// bit-reversal sweep (fft::bitrev_sweep_grain) for a single transform,
-/// one whole-transform root codelet per transform for a batch — then one
-/// phase per plan stage with the FftPlan footprint algebra. Stage phases
-/// claim full coverage of the data buffer when the batch tiles it
-/// exactly; the permutation phase never does (palindromic indices are
-/// not touched).
+/// Appends the classic phases of one (possibly batched) plan execution,
+/// exactly as the executor grains them. A single transform is the chunked
+/// bit-reversal sweep (fft::bitrev_sweep_grain) followed by one phase per
+/// plan stage with the FftPlan footprint algebra; the permutation phase
+/// never claims coverage (palindromic indices are not touched). A batch
+/// is ONE phase with one whole-transform task per transform (the serial
+/// whole-row leaf kernel): each task reads and writes its own n elements
+/// plus the whole twiddle table, with the summed stage flops. Stage and batch phases claim full coverage of the data buffer
+/// when the transforms tile it exactly.
 void append_classic_phases(PipelineModel& m, const fft::FftPlan& plan,
                            const ClassicPhaseSpec& spec) {
   const std::uint64_t n = plan.size();
@@ -90,21 +92,31 @@ void append_classic_phases(PipelineModel& m, const fft::FftPlan& plan,
   const bool covers_buffer =
       spec.base == 0 && spec.batch * n == m.buffers.at(spec.data_buf).elements;
 
-  auto bitrev_pairs = [&](PipelineTask& task, std::uint64_t t0,
-                          std::uint64_t offset, std::uint64_t i_begin,
-                          std::uint64_t i_end) {
-    (void)t0;
-    for (std::uint64_t i = i_begin; i < i_end; ++i) {
-      const std::uint64_t j = util::bit_reverse(i, bits);
-      if (i >= j) continue;
-      task.reads.push_back({spec.data_buf, offset + i});
-      task.reads.push_back({spec.data_buf, offset + j});
-      task.writes.push_back({spec.data_buf, offset + i});
-      task.writes.push_back({spec.data_buf, offset + j});
+  if (spec.batch > 1) {
+    // A whole transform reads every twiddle slot: the last stage alone
+    // reads all n/2 of them.
+    const std::uint64_t slots =
+        spec.twiddle_buf != kNoBuffer ? m.buffers.at(spec.twiddle_buf).elements : 0;
+    PhaseModel phase;
+    phase.name = spec.prefix + "transforms";
+    if (covers_buffer) phase.full_coverage.push_back(spec.data_buf);
+    for (std::uint64_t b = 0; b < spec.batch; ++b) {
+      PipelineTask task;
+      task.index = b;
+      for (std::uint64_t e = 0; e < n; ++e) {
+        task.reads.push_back({spec.data_buf, spec.base + b * n + e});
+        task.writes.push_back({spec.data_buf, spec.base + b * n + e});
+      }
+      for (std::uint64_t slot = 0; slot < slots; ++slot)
+        task.reads.push_back({spec.twiddle_buf, slot});
+      task.flops = plan_total_flops(plan);
+      phase.tasks.push_back(std::move(task));
     }
-  };
+    m.phases.push_back(std::move(phase));
+    return;
+  }
 
-  if (spec.batch == 1) {
+  {
     PhaseModel phase;
     phase.name = spec.prefix + "bitrev";
     const fft::SweepGrain grain = fft::bitrev_sweep_grain(n, spec.workers);
@@ -113,18 +125,15 @@ void append_classic_phases(PipelineModel& m, const fft::FftPlan& plan,
       if (begin >= n) break;
       PipelineTask task;
       task.index = c;
-      bitrev_pairs(task, c, spec.base, begin,
-                   std::min<std::uint64_t>(n, begin + grain.per));
-      phase.tasks.push_back(std::move(task));
-    }
-    m.phases.push_back(std::move(phase));
-  } else {
-    PhaseModel phase;
-    phase.name = spec.prefix + "root";
-    for (std::uint64_t b = 0; b < spec.batch; ++b) {
-      PipelineTask task;
-      task.index = b;
-      bitrev_pairs(task, b, spec.base + b * n, 0, n);
+      const std::uint64_t end = std::min<std::uint64_t>(n, begin + grain.per);
+      for (std::uint64_t i = begin; i < end; ++i) {
+        const std::uint64_t j = util::bit_reverse(i, bits);
+        if (i >= j) continue;
+        task.reads.push_back({spec.data_buf, spec.base + i});
+        task.reads.push_back({spec.data_buf, spec.base + j});
+        task.writes.push_back({spec.data_buf, spec.base + i});
+        task.writes.push_back({spec.data_buf, spec.base + j});
+      }
       phase.tasks.push_back(std::move(task));
     }
     m.phases.push_back(std::move(phase));
@@ -137,25 +146,22 @@ void append_classic_phases(PipelineModel& m, const fft::FftPlan& plan,
     PhaseModel phase;
     phase.name = spec.prefix + "stage" + std::to_string(s);
     if (covers_buffer) phase.full_coverage.push_back(spec.data_buf);
-    for (std::uint64_t b = 0; b < spec.batch; ++b) {
-      for (std::uint64_t t = 0; t < tasks; ++t) {
-        PipelineTask task;
-        task.index = b * tasks + t;
-        plan.task_elements(s, t, elems);
-        const std::uint64_t offset = spec.base + b * n;
-        for (std::uint64_t e : elems) {
-          task.reads.push_back({spec.data_buf, offset + e});
-          task.writes.push_back({spec.data_buf, offset + e});
-        }
-        if (spec.twiddle_buf != kNoBuffer) {
-          plan.task_twiddles(s, t, twiddles);
-          for (std::uint64_t tw : twiddles)
-            task.reads.push_back(
-                {spec.twiddle_buf, twiddle_slot(tw, spec.layout, tw_bits)});
-        }
-        task.flops = plan.flops_per_task(s);
-        phase.tasks.push_back(std::move(task));
+    for (std::uint64_t t = 0; t < tasks; ++t) {
+      PipelineTask task;
+      task.index = t;
+      plan.task_elements(s, t, elems);
+      for (std::uint64_t e : elems) {
+        task.reads.push_back({spec.data_buf, spec.base + e});
+        task.writes.push_back({spec.data_buf, spec.base + e});
       }
+      if (spec.twiddle_buf != kNoBuffer) {
+        plan.task_twiddles(s, t, twiddles);
+        for (std::uint64_t tw : twiddles)
+          task.reads.push_back(
+              {spec.twiddle_buf, twiddle_slot(tw, spec.layout, tw_bits)});
+      }
+      task.flops = plan.flops_per_task(s);
+      phase.tasks.push_back(std::move(task));
     }
     m.phases.push_back(std::move(phase));
   }

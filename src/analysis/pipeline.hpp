@@ -140,10 +140,11 @@ PipelineModel build_classic_pipeline(const fft::FftPlan& plan,
                                      const PipelineBuildOptions& opts = {},
                                      std::string name = {});
 
-/// Batched pipeline (executor forward_batch/inverse_batch): a root phase
-/// with one codelet per transform (whole-transform bit-reversal) followed
-/// by one phase per stage over all transforms. Transforms are modelled at
-/// consecutive offsets of one data buffer.
+/// Batched pipeline (executor forward_batch/inverse_batch): ONE phase with
+/// one whole-transform task per transform, each reading and writing its
+/// own n elements plus the plan's twiddles, with the summed stage flops.
+/// A one-transform batch models the single-transform path instead.
+/// Transforms are modelled at consecutive offsets of one data buffer.
 PipelineModel build_batch_pipeline(const fft::FftPlan& plan,
                                    std::uint64_t batch,
                                    const PipelineBuildOptions& opts = {},
@@ -204,9 +205,9 @@ PipelineModel build_bluestein_pipeline(std::uint64_t n, unsigned radix_log2,
                                        const PipelineBuildOptions& opts = {},
                                        std::string name = {});
 
-/// 2-D row-column pipeline (fft::forward_2d): batched row sweep,
-/// transpose (in place when square, through scratch otherwise), batched
-/// column sweep, transpose back.
+/// 2-D row-column pipeline (fft::forward_2d): batched row sweep (one
+/// whole-row task per matrix row), transpose (in place when square,
+/// through scratch otherwise), batched column sweep, transpose back.
 PipelineModel build_fft2d_pipeline(std::uint64_t rows, std::uint64_t cols,
                                    unsigned radix_log2,
                                    const PipelineBuildOptions& opts = {},

@@ -80,6 +80,34 @@ void run_row(const kernels::RowTables<T>& tables, std::span<cplx_t<T>> row,
                                        split.data() + row.size(), fuse_log2);
 }
 
+/// One Bluestein chirp-z transform of `data` through the M-point
+/// convolution buffer `buf`: X[k] = c[k] * (1/M) * IFFT_M( FFT_M(x .* c)
+/// .* B )[k], with c the length-n chirp and B the precomputed FFT of the
+/// chirp filter, both direction-resolved tables of `entry`.
+/// `conv_fft(buf, dir)` runs one in-place M-point transform; the chain
+/// always calls it forward then inverse, whatever the outer direction —
+/// the direction lives entirely in the chirp tables.
+template <typename T, typename ConvFft>
+void chirp_z(const PlanEntry& entry, TwiddleDirection dir,
+             std::span<cplx_t<T>> data, std::span<cplx_t<T>> buf,
+             const ConvFft& conv_fft) {
+  const std::uint64_t n = data.size();
+  const std::uint64_t m = buf.size();
+  const std::span<const cplx_t<T>> chirp = entry.chirp_for<T>(dir);
+  const std::span<const cplx_t<T>> bfft = entry.chirp_fft_for<T>(dir);
+  for (std::uint64_t j = 0; j < n; ++j) buf[j] = cmul(data[j], chirp[j]);
+  std::fill(buf.begin() + static_cast<std::ptrdiff_t>(n), buf.end(),
+            cplx_t<T>{});
+  conv_fft(buf, TwiddleDirection::kForward);
+  for (std::uint64_t j = 0; j < m; ++j) buf[j] = cmul(buf[j], bfft[j]);
+  conv_fft(buf, TwiddleDirection::kInverse);
+  // Demodulate, folding in the inner inverse's 1/M (the locked bodies
+  // never scale; the public inverse wrappers add the outer 1/n on top).
+  const T inv_m = static_cast<T>(1.0 / static_cast<double>(m));
+  for (std::uint64_t j = 0; j < n; ++j)
+    data[j] = cmul(buf[j], chirp[j]) * inv_m;
+}
+
 }  // namespace
 
 SweepGrain four_step_sweep_grain(std::uint64_t row_count, unsigned workers) {
@@ -276,39 +304,39 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
   // this is the fft_host contract (api.cpp clamps on its own behalf).
   validate_fft_shape(n, opts.radix_log2, /*clamp_radix=*/false);
 
-  // Non-pow2 sizes dispatch on factorization alone, before the tuned
-  // schedules and size thresholds below (those steer the pow2 plans only).
-  // Mixed-radix and Bluestein keys pin radix_log2 = 1 and the linear
-  // layout: neither knob shapes these plans, and canonical values keep one
-  // cache entry per (n, precision) no matter what options callers pass.
-  if (!util::is_pow2(n)) {
-    const Factorization f = factorize(n);
-    if (f.smooth) {
-      std::shared_ptr<const PlanEntry> entry = cache_.acquire(PlanKey{
-          n, /*radix_log2=*/1, TwiddleLayout::kLinear, PlanKind::kMixedRadix,
-          precision_of<T>, /*hier_leaf_log2=*/0, factorization_digest(f)});
-      std::lock_guard lock(mutex_);
-      if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
-      if (batch.size() > 1)
-        run_mixed_radix_batch_locked<T>(*entry, batch, opts, dir);
-      else
-        run_mixed_radix_locked<T>(*entry, batch.front(), opts, dir);
-      mixed_radix_ += batch.size();
-      transforms_ += (batch.size() == 1) ? 1 : 0;
-      batched_ += (batch.size() == 1) ? 0 : batch.size();
-      return;
-    }
-    // Bluestein: the chirp entry plus the inner pow2 convolution plan,
-    // both from the shared cache — the inner entry IS the entry a direct
-    // M-point transform builds (same key), so a mixed traffic stream of
-    // prime and pow2 sizes shares plans instead of duplicating them.
+  // Routing and every plan lookup happen before the lock (the cache has
+  // its own). Non-pow2 sizes route on factorization alone; the large-N
+  // thresholds steer the pow2 plans only — the hierarchical check
+  // outranks four-step (it is the same decomposition with strictly better
+  // scheduling), and both paths' inner sweeps and recursion levels bypass
+  // this routing by construction.
+  const unsigned four_step_log2 =
+      four_step_threshold_log2_.load(std::memory_order_relaxed);
+  const unsigned hierarchical_log2 =
+      hierarchical_threshold_log2_.load(std::memory_order_relaxed);
+  const PlanKind kind = routed_plan_kind(n, four_step_log2, hierarchical_log2);
+  std::shared_ptr<const PlanEntry> entry;
+  std::shared_ptr<const PlanEntry> conv;  // Bluestein's inner pow2 plan
+  std::uint64_t block_rows = 0;           // hierarchical runtime grain
+  if (kind == PlanKind::kMixedRadix || kind == PlanKind::kBluestein) {
+    // Mixed-radix and Bluestein keys pin radix_log2 = 1 and the linear
+    // layout: neither knob shapes these plans, and canonical values keep
+    // one cache entry per (n, precision) no matter what options callers
+    // pass.
+    const std::uint64_t digest =
+        kind == PlanKind::kMixedRadix ? factorization_digest(factorize(n)) : 0;
+    entry = cache_.acquire(PlanKey{n, /*radix_log2=*/1, TwiddleLayout::kLinear,
+                                   kind, precision_of<T>,
+                                   /*hier_leaf_log2=*/0, digest});
+  }
+  if (kind == PlanKind::kBluestein) {
+    // The inner pow2 convolution plan comes from the shared cache too — it
+    // IS the entry a direct M-point transform builds (same key), so a
+    // mixed traffic stream of prime and pow2 sizes shares plans instead of
+    // duplicating them.
     const std::uint64_t m = bluestein_fft_size(n);
-    std::shared_ptr<const PlanEntry> entry = cache_.acquire(PlanKey{
-        n, /*radix_log2=*/1, TwiddleLayout::kLinear, PlanKind::kBluestein,
-        precision_of<T>});
-    const PlanKind conv_kind = routed_plan_kind(
-        m, four_step_threshold_log2_.load(std::memory_order_relaxed),
-        hierarchical_threshold_log2_.load(std::memory_order_relaxed));
+    const PlanKind conv_kind =
+        routed_plan_kind(m, four_step_log2, hierarchical_log2);
     unsigned conv_radix = validate_fft_shape(m, opts.radix_log2, true);
     unsigned conv_leaf = 0;
     if (const std::optional<TunedSchedule> tuned = cache_.tuned_for(
@@ -321,98 +349,151 @@ void FftExecutor::run_t(std::span<const std::span<cplx_t<T>>> batch,
       conv_leaf = hierarchical_leaf_log2(util::cache_info().l2_bytes,
                                          sizeof(cplx_t<T>));
     if (conv_kind != PlanKind::kHierarchical) conv_leaf = 0;
-    std::shared_ptr<const PlanEntry> conv = cache_.acquire(PlanKey{
-        m, conv_radix, opts.layout, conv_kind, precision_of<T>, conv_leaf});
-    std::lock_guard lock(mutex_);
-    if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
-    if (batch.size() > 1)
-      run_bluestein_batch_locked<T>(*entry, *conv, batch, opts, variant, dir);
-    else
-      run_bluestein_locked<T>(*entry, *conv, batch.front(), opts, variant, dir);
-    bluestein_ += batch.size();
-    transforms_ += (batch.size() == 1) ? 1 : 0;
-    batched_ += (batch.size() == 1) ? 0 : batch.size();
-    return;
-  }
-
-  // A loaded tuned schedule steers the plan radix — but only when the
-  // caller left HostFftOptions::radix_log2 at its default: an explicit
-  // per-call radix always wins over the tuner. (The matching fuse_log2 is
-  // looked up again by the locked dispatch bodies, which see the actual
-  // plan size — for four-step that is the sub-FFT length, not N.)
-  unsigned radix_log2 = opts.radix_log2;
-  if (radix_log2 == HostFftOptions{}.radix_log2) {
-    if (const std::optional<TunedSchedule> tuned = cache_.tuned_for(
-            n, precision_of<T>, kernels::active_kernel_isa()))
-      radix_log2 = validate_fft_shape(n, tuned->radix_log2, /*clamp_radix=*/true);
-  }
-
-  // Large-N routing: the hierarchical check outranks four-step (it is the
-  // same decomposition with strictly better scheduling). Both paths' inner
-  // sweeps and recursion levels bypass this routing by construction.
-  const PlanKind kind = routed_plan_kind(
-      n, four_step_threshold_log2_.load(std::memory_order_relaxed),
-      hierarchical_threshold_log2_.load(std::memory_order_relaxed));
-  if (kind == PlanKind::kHierarchical) {
-    // A tuned schedule steers both hierarchical knobs: the leaf is part of
-    // the plan key (it fixes the level tree), the block rows are a pure
+    conv = cache_.acquire(PlanKey{m, conv_radix, opts.layout, conv_kind,
+                                  precision_of<T>, conv_leaf});
+  } else if (kind != PlanKind::kMixedRadix) {
+    // A loaded tuned schedule steers the plan radix — but only when the
+    // caller left HostFftOptions::radix_log2 at its default: an explicit
+    // per-call radix always wins over the tuner. (The matching fuse_log2
+    // is looked up again by the locked dispatch bodies, which see the
+    // actual plan size — for four-step that is the sub-FFT length, not
+    // N.) It also steers both hierarchical knobs: the leaf is part of the
+    // plan key (it fixes the level tree), the block rows are a pure
     // runtime grain threaded to the pipeline.
+    unsigned radix_log2 = opts.radix_log2;
     unsigned leaf = 0;
-    std::uint64_t block_rows = 0;
     if (const std::optional<TunedSchedule> tuned = cache_.tuned_for(
             n, precision_of<T>, kernels::active_kernel_isa())) {
+      if (radix_log2 == HostFftOptions{}.radix_log2)
+        radix_log2 = validate_fft_shape(n, tuned->radix_log2, /*clamp_radix=*/true);
       leaf = tuned->hier_leaf_log2;
       block_rows = tuned->hier_block_rows;
     }
-    if (leaf == 0)
+    if (kind != PlanKind::kHierarchical) {
+      leaf = 0;
+      block_rows = 0;
+    } else if (leaf == 0) {
       leaf = hierarchical_leaf_log2(util::cache_info().l2_bytes,
                                     sizeof(cplx_t<T>));
-    std::shared_ptr<const PlanEntry> entry = cache_.acquire(
-        PlanKey{n, radix_log2, opts.layout, PlanKind::kHierarchical,
-                precision_of<T>, leaf});
-    std::lock_guard lock(mutex_);
-    if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
-    for (const std::span<cplx_t<T>>& t : batch)
-      run_hierarchical_locked<T>(*entry, t, opts, dir, block_rows, /*depth=*/0);
-    hierarchical_ += batch.size();
-    transforms_ += (batch.size() == 1) ? 1 : 0;
-    batched_ += (batch.size() == 1) ? 0 : batch.size();
-    return;
-  }
-  if (kind == PlanKind::kFourStep) {
-    std::shared_ptr<const PlanEntry> entry = cache_.acquire(
-        PlanKey{n, radix_log2, opts.layout, PlanKind::kFourStep,
-                precision_of<T>});
-    std::lock_guard lock(mutex_);
-    if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
-    for (const std::span<cplx_t<T>>& t : batch)
-      run_four_step_locked<T>(*entry, t, opts, variant, dir);
-    four_step_ += batch.size();
-    transforms_ += (batch.size() == 1) ? 1 : 0;
-    batched_ += (batch.size() == 1) ? 0 : batch.size();
-    return;
+    }
+    entry = cache_.acquire(
+        PlanKey{n, radix_log2, opts.layout, kind, precision_of<T>, leaf});
   }
 
-  std::shared_ptr<const PlanEntry> entry = cache_.acquire(
-      PlanKey{n, radix_log2, opts.layout, PlanKind::kClassic,
-              precision_of<T>});
   std::lock_guard lock(mutex_);
   if (closed_.load(std::memory_order_relaxed)) throw ExecutorClosedError();
-  run_classic_locked<T>(*entry, batch, opts, variant, dir);
-  transforms_ += (batch.size() == 1) ? 1 : 0;
-  batched_ += (batch.size() == 1) ? 0 : batch.size();
+  const bool single = batch.size() == 1;
+  switch (kind) {
+    case PlanKind::kMixedRadix:
+      if (single) {
+        run_mixed_radix_locked<T>(*entry, batch.front(), opts, dir);
+      } else {
+        const MixedRadixPlan& plan = entry->mixed_plan();
+        const std::span<const cplx_t<T>> tw = entry->mixed_twiddles_for<T>(dir);
+        run_batch_locked<T>(batch, opts, n, /*split_len=*/0,
+                            [&](std::span<cplx_t<T>> data,
+                                std::vector<cplx_t<T>>& buf, std::vector<T>&) {
+                              mixed_radix_serial<T>(plan, tw, data, buf, dir);
+                            });
+      }
+      mixed_radix_ += batch.size();
+      break;
+    case PlanKind::kBluestein:
+      // A convolution that routes four-step/hierarchical schedules phases
+      // of its own, which cannot nest inside a batch codelet.
+      if (single || conv->kind() != PlanKind::kClassic) {
+        for (const std::span<cplx_t<T>>& t : batch)
+          run_bluestein_locked<T>(*entry, *conv, t, opts, variant, dir);
+      } else {
+        const std::uint64_t m = entry->conv_size();
+        const kernels::RowTables<T> rows_fwd =
+            conv->row_tables<T>(TwiddleDirection::kForward);
+        const kernels::RowTables<T> rows_inv =
+            conv->row_tables<T>(TwiddleDirection::kInverse);
+        const unsigned fuse_log2 = tuned_fuse_locked<T>(m);
+        run_batch_locked<T>(
+            batch, opts, m, m,
+            [&](std::span<cplx_t<T>> data, std::vector<cplx_t<T>>& buf,
+                std::vector<T>& split) {
+              chirp_z<T>(*entry, dir, data, std::span<cplx_t<T>>(buf.data(), m),
+                         [&](std::span<cplx_t<T>> x, TwiddleDirection d) {
+                           run_row<T>(d == TwiddleDirection::kForward ? rows_fwd
+                                                                      : rows_inv,
+                                      x, split, fuse_log2);
+                         });
+            });
+      }
+      bluestein_ += batch.size();
+      break;
+    case PlanKind::kHierarchical:
+      for (const std::span<cplx_t<T>>& t : batch)
+        run_hierarchical_locked<T>(*entry, t, opts, dir, block_rows, /*depth=*/0);
+      hierarchical_ += batch.size();
+      break;
+    case PlanKind::kFourStep:
+      for (const std::span<cplx_t<T>>& t : batch)
+        run_four_step_locked<T>(*entry, t, opts, dir);
+      four_step_ += batch.size();
+      break;
+    case PlanKind::kClassic:
+      if (single) {
+        run_classic_locked<T>(*entry, batch.front(), opts, variant, dir);
+      } else {
+        const kernels::RowTables<T> rows = entry->row_tables<T>(dir);
+        const unsigned fuse_log2 = tuned_fuse_locked<T>(n);
+        run_batch_locked<T>(batch, opts, /*buf_len=*/0, n,
+                            [&](std::span<cplx_t<T>> data,
+                                std::vector<cplx_t<T>>&, std::vector<T>& split) {
+                              run_row<T>(rows, data, split, fuse_log2);
+                            });
+      }
+      break;
+  }
+  (single ? transforms_ : batched_) += batch.size();
+}
+
+template <typename T, typename Body>
+void FftExecutor::run_batch_locked(std::span<const std::span<cplx_t<T>>> batch,
+                                   const HostFftOptions& opts,
+                                   std::uint64_t buf_len,
+                                   std::uint64_t split_len, const Body& body) {
+  codelet::HostRuntime& rt = team(opts.workers, opts.mode);
+  const unsigned workers = rt.workers();
+  std::vector<std::vector<T>>& split = row_split_locked<T>(split_len, workers);
+  std::vector<std::vector<cplx_t<T>>>& bufs = num<T>().batch_scratch;
+  if (bufs.size() < workers) bufs.resize(workers);
+  for (unsigned w = 0; w < workers; ++w)
+    if (bufs[w].size() < buf_len) bufs[w].resize(buf_len);
+
+  // A one-worker team has no phase to amortize: the caller loops the
+  // serial body, paying the plan/twiddle lookups and the lock once for the
+  // whole batch.
+  if (workers == 1) {
+    for (const std::span<cplx_t<T>>& data : batch) body(data, bufs[0], split[0]);
+    return;
+  }
+  // One phase, one whole-transform codelet per transform: each transform
+  // runs the same serial body as a single call, so the batch is
+  // bit-identical to a loop of single calls while B coalesced transforms
+  // pay one phase.
+  std::vector<CodeletKey> seeds;
+  seeds.reserve(batch.size());
+  for (std::uint64_t b = 0; b < batch.size(); ++b) seeds.push_back({0, b});
+  rt.run_phase(seeds, PoolPolicy::kFifo,
+               [&](CodeletKey key, unsigned worker, codelet::Pusher&) {
+                 body(batch[key.index], bufs[worker], split[worker]);
+               });
 }
 
 template <typename T>
 void FftExecutor::run_classic_locked(const PlanEntry& entry,
-                                     std::span<const std::span<cplx_t<T>>> batch,
+                                     std::span<cplx_t<T>> data,
                                      const HostFftOptions& opts,
                                      Variant variant, TwiddleDirection dir) {
-  const std::uint64_t n = batch.front().size();
+  const std::uint64_t n = data.size();
   const FftPlan& plan = entry.plan();
   const BasicTwiddleTable<T>& twiddles = entry.twiddles_for<T>(dir);
   const std::uint64_t tasks = plan.tasks_per_stage();
-  const std::uint64_t b_count = batch.size();
   const std::uint32_t stages = plan.stage_count();
 
   codelet::HostRuntime& rt = team(opts.workers, opts.mode);
@@ -422,33 +503,20 @@ void FftExecutor::run_classic_locked(const PlanEntry& entry,
   // Serial fast path: on a one-worker team there is no scheduling to
   // exercise — every variant degenerates to in-order execution — so
   // instead of the swap-based permutation phase plus per-stage codelets,
-  // each transform runs the whole-row leaf kernel (run_row): the same
+  // the transform runs the whole-row leaf kernel (run_row): the same
   // butterflies on the same inputs with the same twiddles, so the output
-  // is bit-identical to the phased path under every variant. Whole
-  // batches take this path too (not just b_count == 1): a coalesced batch
-  // of B small transforms on a one-worker team then pays the
-  // plan/twiddle/tuned-schedule lookups and the executor lock once for
-  // all B, with per-transform work identical to B single calls — the
-  // per-request dispatch overhead is what request coalescing exists to
-  // amortize.
+  // is bit-identical to the phased path under every variant.
   if (rt.workers() == 1) {
-    const kernels::RowTables<T> rows = entry.row_tables<T>(dir);
-    std::vector<T>& split = row_split_locked<T>(n, 1)[0];
-    for (const std::span<cplx_t<T>>& data : batch)
-      run_row<T>(rows, data, split, fuse_log2);
+    run_row<T>(entry.row_tables<T>(dir), data, row_split_locked<T>(n, 1)[0],
+               fuse_log2);
     return;
   }
 
   ensure_worker_buffers<T>(plan.radix(), rt.workers());
   std::vector<BasicKernelScratch<T>>& scratch = num<T>().scratch;
 
-  // Single transforms bit-reverse as a chunked phase on the persistent
-  // team (the old free function spawned its own team per call); batches
-  // instead fold the permutation into per-transform root codelets below —
-  // one phase and one injection-queue pop per transform instead of one
-  // per stage-0 codelet, and each transform's butterflies start cache-warm
-  // right after its own permutation.
-  if (b_count == 1) {
+  // Bit-reversal as a chunked phase on the persistent team.
+  {
     const SweepGrain grain = bitrev_sweep_grain(n, rt.workers());
     const std::uint64_t chunk = grain.per;
     std::vector<CodeletKey> seeds;
@@ -456,7 +524,6 @@ void FftExecutor::run_classic_locked(const PlanEntry& entry,
     for (std::uint64_t c = 0; c < grain.chunks; ++c) seeds.push_back({0, c});
     rt.run_phase(seeds, PoolPolicy::kFifo,
                  [&](CodeletKey key, unsigned, codelet::Pusher&) {
-                   std::span<cplx_t<T>> data = batch[0];
                    const std::uint64_t end = std::min(n, (key.index + 1) * chunk);
                    for (std::uint64_t i = key.index * chunk; i < end; ++i) {
                      const std::uint64_t j = util::bit_reverse(i, bits);
@@ -465,91 +532,39 @@ void FftExecutor::run_classic_locked(const PlanEntry& entry,
                  });
   }
 
-  // Batch seeding: a root codelet per transform (sentinel stage) that
-  // optionally bit-reverses its whole transform, then releases that
-  // transform's `order`-ordered codelets of `target_stage` onto the
-  // executing worker's own lock-free deque.
-  constexpr std::uint32_t kRootStage = 0xFFFFFFFFu;
-  std::vector<CodeletKey> root_seeds;
-  if (b_count > 1) {
-    root_seeds.reserve(b_count);
-    for (std::uint64_t b = 0; b < b_count; ++b) root_seeds.push_back({kRootStage, b});
-  }
-  auto rooted = [&](const std::vector<std::uint64_t>& order,
-                    std::uint32_t target_stage, bool do_bitrev,
-                    codelet::CodeletBody inner) -> codelet::CodeletBody {
-    return [&, target_stage, do_bitrev, inner](CodeletKey key, unsigned worker,
-                                               codelet::Pusher& pusher) {
-      if (key.stage != kRootStage) {
-        inner(key, worker, pusher);
-        return;
-      }
-      const std::uint64_t b = key.index;
-      if (do_bitrev) {
-        std::span<cplx_t<T>> data = batch[b];
-        for (std::uint64_t i = 0; i < n; ++i) {
-          const std::uint64_t j = util::bit_reverse(i, bits);
-          if (i < j) std::swap(data[i], data[j]);
-        }
-      }
-      std::vector<CodeletKey>& keys = keys_buf_[worker];
-      keys.clear();
-      keys.reserve(order.size());
-      for (std::uint64_t t : order) keys.push_back({target_stage, b * tasks + t});
-      pusher.push_batch(keys);
-    };
-  };
-
-  std::vector<std::uint64_t> natural(tasks);
-  for (std::uint64_t t = 0; t < tasks; ++t) natural[t] = t;
-
   if (variant == Variant::kCoarse) {
-    // Algorithm 1 over the whole batch: one phase per stage; every
-    // transform's stage-s codelets run inside the same phase.
+    // Algorithm 1: one phase per stage.
     const codelet::CodeletBody exec = [&](CodeletKey key, unsigned worker,
                                           codelet::Pusher&) {
-      run_codelet(plan, key.stage, key.index % tasks, batch[key.index / tasks],
-                  twiddles, scratch[worker], fuse_log2);
+      run_codelet(plan, key.stage, key.index, data, twiddles, scratch[worker],
+                  fuse_log2);
     };
-    std::uint32_t first = 0;
-    if (b_count > 1) {
-      rt.run_phase(root_seeds, PoolPolicy::kFifo, rooted(natural, 0, true, exec));
-      first = 1;
-    }
-    std::vector<CodeletKey> seeds(tasks * b_count);
-    for (std::uint32_t s = first; s < stages; ++s) {
-      for (std::uint64_t i = 0; i < seeds.size(); ++i) seeds[i] = {s, i};
+    std::vector<CodeletKey> seeds(tasks);
+    for (std::uint32_t s = 0; s < stages; ++s) {
+      for (std::uint64_t i = 0; i < tasks; ++i) seeds[i] = {s, i};
       rt.run_phase(seeds, PoolPolicy::kFifo, exec);
     }
     return;
   }
 
-  // Fine/guided: one DependencyCounters instance per transform, all
-  // stamped from the cached template.
-  std::vector<codelet::DependencyCounters> counters;
-  counters.reserve(b_count);
-  for (std::uint64_t b = 0; b < b_count; ++b)
-    counters.push_back(entry.make_counters());
+  // Fine/guided: dependency counters stamped from the cached template.
+  codelet::DependencyCounters counters = entry.make_counters();
 
-  // Kernel + readiness propagation over the batch-encoded key space;
-  // mirrors the single-transform fine body of the paper's Alg. 2/3.
+  // Kernel + readiness propagation: the fine body of the paper's Alg. 2/3.
   auto fine_body = [&](std::uint32_t last_propagated) -> codelet::CodeletBody {
     return [&, last_propagated](CodeletKey key, unsigned worker,
                                 codelet::Pusher& pusher) {
-      const std::uint64_t b = key.index / tasks;
-      const std::uint64_t t = key.index % tasks;
-      run_codelet(plan, key.stage, t, batch[b], twiddles, scratch[worker],
+      run_codelet(plan, key.stage, key.index, data, twiddles, scratch[worker],
                   fuse_log2);
       if (key.stage >= last_propagated || key.stage + 1 >= stages) return;
-      const std::uint64_t g = plan.child_group(key.stage, t);
-      if (counters[b].arrive(key.stage + 1, g)) {
+      const std::uint64_t g = plan.child_group(key.stage, key.index);
+      if (counters.arrive(key.stage + 1, g)) {
         std::vector<std::uint64_t>& members = members_buf_[worker];
         plan.group_members(key.stage + 1, g, members);
         std::vector<CodeletKey>& keys = keys_buf_[worker];
         keys.clear();
         keys.reserve(members.size());
-        for (std::uint64_t m : members)
-          keys.push_back({key.stage + 1, b * tasks + m});
+        for (std::uint64_t m : members) keys.push_back({key.stage + 1, m});
         pusher.push_batch(keys);
       }
     };
@@ -566,43 +581,28 @@ void FftExecutor::run_classic_locked(const PlanEntry& entry,
   if (fine) {
     const std::vector<std::uint64_t> order =
         make_seed_order(ordering.order, tasks, ordering.seed);
-    if (b_count > 1) {
-      rt.run_phase(root_seeds, ordering.policy,
-                   rooted(order, 0, true, fine_body(stages - 1)));
-    } else {
-      std::vector<CodeletKey> seeds;
-      seeds.reserve(order.size());
-      for (std::uint64_t t : order) seeds.push_back({0, t});
-      rt.run_phase(seeds, ordering.policy, fine_body(stages - 1));
-    }
+    std::vector<CodeletKey> seeds;
+    seeds.reserve(order.size());
+    for (std::uint64_t t : order) seeds.push_back({0, t});
+    rt.run_phase(seeds, ordering.policy, fine_body(stages - 1));
   } else {
     // Algorithm 3, phase 1: fine-grain over the early stages; the last
     // early stage does not propagate readiness.
     const std::uint32_t last_early = stages - 3;
-    if (b_count > 1) {
-      rt.run_phase(root_seeds, PoolPolicy::kLifo,
-                   rooted(natural, 0, true, fine_body(last_early)));
-    } else {
-      std::vector<CodeletKey> seeds;
-      seeds.reserve(tasks);
-      for (std::uint64_t i = 0; i < tasks; ++i) seeds.push_back({0, i});
-      rt.run_phase(seeds, PoolPolicy::kLifo, fine_body(last_early));
-    }
-    // Phase 2: per transform, the simulator's column-batched seed order of
-    // the penultimate stage.
+    std::vector<CodeletKey> seeds;
+    seeds.reserve(tasks);
+    for (std::uint64_t i = 0; i < tasks; ++i) seeds.push_back({0, i});
+    rt.run_phase(seeds, PoolPolicy::kLifo, fine_body(last_early));
+    // Phase 2: the simulator's column-batched seed order of the
+    // penultimate stage.
     const std::uint32_t penultimate = stages - 2;
     const std::vector<std::uint64_t> order = guided_phase2_order(plan);
     if (order.size() != tasks)
       throw std::logic_error("guided: phase-2 seeding does not cover the stage");
-    if (b_count > 1) {
-      rt.run_phase(root_seeds, PoolPolicy::kLifo,
-                   rooted(order, penultimate, false, fine_body(stages - 1)));
-    } else {
-      std::vector<CodeletKey> phase2;
-      phase2.reserve(tasks);
-      for (std::uint64_t p : order) phase2.push_back({penultimate, p});
-      rt.run_phase(phase2, PoolPolicy::kLifo, fine_body(stages - 1));
-    }
+    std::vector<CodeletKey> phase2;
+    phase2.reserve(tasks);
+    for (std::uint64_t p : order) phase2.push_back({penultimate, p});
+    rt.run_phase(phase2, PoolPolicy::kLifo, fine_body(stages - 1));
   }
 }
 
@@ -671,153 +671,33 @@ void FftExecutor::run_mixed_radix_locked(const PlanEntry& entry,
 }
 
 template <typename T>
-void FftExecutor::run_mixed_radix_batch_locked(
-    const PlanEntry& entry, std::span<const std::span<cplx_t<T>>> batch,
-    const HostFftOptions& opts, TwiddleDirection dir) {
-  const MixedRadixPlan& plan = entry.mixed_plan();
-  const std::span<const cplx_t<T>> tw = entry.mixed_twiddles_for<T>(dir);
-
-  codelet::HostRuntime& rt = team(opts.workers, opts.mode);
-  NumericState<T>& st = num<T>();
-
-  // One-worker teams have no phases to amortize: loop the serial body
-  // directly, paying the plan/twiddle lookups and the lock once for the
-  // whole batch (the same degenerate shape as the classic batch path).
-  if (rt.workers() == 1) {
-    for (const std::span<cplx_t<T>>& data : batch)
-      mixed_radix_serial<T>(plan, tw, data, st.mixed_scratch, dir);
-    return;
-  }
-
-  // One phase, one whole-transform codelet per transform. Each codelet
-  // runs the same permutation and the same stage butterflies in the same
-  // order as the serial body — bit-identical to a loop of single calls —
-  // against its claiming worker's own scratch, so B coalesced transforms
-  // pay one phase instead of B * (stages + 1).
-  if (st.mixed_batch_scratch.size() < rt.workers())
-    st.mixed_batch_scratch.resize(rt.workers());
-  std::vector<CodeletKey> seeds;
-  seeds.reserve(batch.size());
-  for (std::uint64_t b = 0; b < batch.size(); ++b) seeds.push_back({0, b});
-  rt.run_phase(seeds, PoolPolicy::kFifo,
-               [&](CodeletKey key, unsigned worker, codelet::Pusher&) {
-                 mixed_radix_serial<T>(plan, tw, batch[key.index],
-                                       st.mixed_batch_scratch[worker], dir);
-               });
-}
-
-template <typename T>
 void FftExecutor::run_bluestein_locked(const PlanEntry& entry,
                                        const PlanEntry& conv,
                                        std::span<cplx_t<T>> data,
                                        const HostFftOptions& opts,
                                        Variant variant, TwiddleDirection dir) {
-  // Chirp-z: X[k] = c[k] * (1/M) * IFFT_M( FFT_M(x .* c) .* B )[k] with
-  // c the length-n chirp and B the precomputed FFT of the chirp filter,
-  // both direction-resolved tables of `entry`. The two M-point transforms
-  // are always one forward plus one inverse regardless of the outer
-  // direction. The O(M) modulate/pointwise passes run serially: they are
-  // noise against the inner FFTs they bracket.
-  const std::uint64_t n = data.size();
+  // The O(M) modulate/pointwise passes of the chain run serially: they are
+  // noise against the inner FFTs they bracket, which take whichever route
+  // the convolution plan names.
   const std::uint64_t m = entry.conv_size();
-  const std::span<const cplx_t<T>> chirp = entry.chirp_for<T>(dir);
-  const std::span<const cplx_t<T>> bfft = entry.chirp_fft_for<T>(dir);
-
   NumericState<T>& st = num<T>();
   if (st.bluestein_scratch.size() < m) st.bluestein_scratch.resize(m);
-  const std::span<cplx_t<T>> buf(st.bluestein_scratch.data(), m);
-
-  for (std::uint64_t j = 0; j < n; ++j) buf[j] = cmul(data[j], chirp[j]);
-  std::fill(buf.begin() + static_cast<std::ptrdiff_t>(n), buf.end(),
-            cplx_t<T>{});
-
-  const auto run_inner = [&](TwiddleDirection inner_dir) {
-    switch (conv.kind()) {
-      case PlanKind::kHierarchical:
-        run_hierarchical_locked<T>(conv, buf, opts, inner_dir,
-                                   /*tuned_block_rows=*/0, /*depth=*/0);
-        break;
-      case PlanKind::kFourStep:
-        run_four_step_locked<T>(conv, buf, opts, variant, inner_dir);
-        break;
-      default: {
-        const std::span<cplx_t<T>> one[1] = {buf};
-        run_classic_locked<T>(conv, one, opts, variant, inner_dir);
-        break;
-      }
-    }
-  };
-  run_inner(TwiddleDirection::kForward);
-  for (std::uint64_t j = 0; j < m; ++j) buf[j] = cmul(buf[j], bfft[j]);
-  run_inner(TwiddleDirection::kInverse);
-
-  // Demodulate, folding in the inner inverse's 1/M (the locked bodies
-  // never scale; the public inverse wrappers add the outer 1/n on top).
-  const T inv_m = static_cast<T>(1.0 / static_cast<double>(m));
-  for (std::uint64_t j = 0; j < n; ++j)
-    data[j] = cmul(buf[j], chirp[j]) * inv_m;
-}
-
-template <typename T>
-void FftExecutor::run_bluestein_batch_locked(
-    const PlanEntry& entry, const PlanEntry& conv,
-    std::span<const std::span<cplx_t<T>>> batch, const HostFftOptions& opts,
-    Variant variant, TwiddleDirection dir) {
-  codelet::HostRuntime& rt = team(opts.workers, opts.mode);
-
-  // Fall back to the per-transform path when there is nothing to amortize
-  // (one-worker teams run no phases) or when the convolution size routes
-  // four-step/hierarchical — those paths schedule phases of their own,
-  // which cannot nest inside a codelet body.
-  if (rt.workers() == 1 || conv.kind() != PlanKind::kClassic) {
-    for (const std::span<cplx_t<T>>& t : batch)
-      run_bluestein_locked<T>(entry, conv, t, opts, variant, dir);
-    return;
-  }
-
-  const std::uint64_t n = batch.front().size();
-  const std::uint64_t m = entry.conv_size();
-  const std::span<const cplx_t<T>> chirp = entry.chirp_for<T>(dir);
-  const std::span<const cplx_t<T>> bfft = entry.chirp_fft_for<T>(dir);
-  const kernels::RowTables<T> rows_fwd =
-      conv.row_tables<T>(TwiddleDirection::kForward);
-  const kernels::RowTables<T> rows_inv =
-      conv.row_tables<T>(TwiddleDirection::kInverse);
-  const unsigned fuse_log2 = tuned_fuse_locked<T>(m);
-
-  std::vector<std::vector<T>>& split = row_split_locked<T>(m, rt.workers());
-  NumericState<T>& st = num<T>();
-  if (st.bluestein_batch_scratch.size() < rt.workers())
-    st.bluestein_batch_scratch.resize(rt.workers());
-  for (unsigned w = 0; w < rt.workers(); ++w)
-    if (st.bluestein_batch_scratch[w].size() < m)
-      st.bluestein_batch_scratch[w].resize(m);
-  const T inv_m = static_cast<T>(1.0 / static_cast<double>(m));
-
-  // One phase, one whole-chirp-z-chain codelet per transform: modulate,
-  // forward M-point FFT, pointwise filter, inverse M-point FFT,
-  // demodulate — the inner FFTs run the whole-row leaf kernel of the
-  // one-worker fast path, so each transform's output is bit-identical to
-  // a single run_bluestein_locked call, while B coalesced transforms pay
-  // one phase instead of B whole phased chains.
-  std::vector<CodeletKey> seeds;
-  seeds.reserve(batch.size());
-  for (std::uint64_t b = 0; b < batch.size(); ++b) seeds.push_back({0, b});
-  rt.run_phase(
-      seeds, PoolPolicy::kFifo,
-      [&](CodeletKey key, unsigned worker, codelet::Pusher&) {
-        std::span<cplx_t<T>> data = batch[key.index];
-        const std::span<cplx_t<T>> buf(st.bluestein_batch_scratch[worker].data(),
-                                       m);
-        for (std::uint64_t j = 0; j < n; ++j) buf[j] = cmul(data[j], chirp[j]);
-        std::fill(buf.begin() + static_cast<std::ptrdiff_t>(n), buf.end(),
-                  cplx_t<T>{});
-        run_row<T>(rows_fwd, buf, split[worker], fuse_log2);
-        for (std::uint64_t j = 0; j < m; ++j) buf[j] = cmul(buf[j], bfft[j]);
-        run_row<T>(rows_inv, buf, split[worker], fuse_log2);
-        for (std::uint64_t j = 0; j < n; ++j)
-          data[j] = cmul(buf[j], chirp[j]) * inv_m;
-      });
+  chirp_z<T>(entry, dir, data, std::span<cplx_t<T>>(st.bluestein_scratch.data(), m),
+             [&](std::span<cplx_t<T>> buf, TwiddleDirection inner_dir) {
+               switch (conv.kind()) {
+                 case PlanKind::kHierarchical:
+                   run_hierarchical_locked<T>(conv, buf, opts, inner_dir,
+                                              /*tuned_block_rows=*/0,
+                                              /*depth=*/0);
+                   break;
+                 case PlanKind::kFourStep:
+                   run_four_step_locked<T>(conv, buf, opts, inner_dir);
+                   break;
+                 default:
+                   run_classic_locked<T>(conv, buf, opts, variant, inner_dir);
+                   break;
+               }
+             });
 }
 
 template <typename T>
@@ -828,13 +708,11 @@ void FftExecutor::run_rows_locked(const PlanEntry& entry, std::span<cplx_t<T>> d
   // Sub-FFT sweep of the four-step path: `row_count` independent
   // `plan.size()`-point transforms over consecutive rows of `data`. Each
   // row is transformed completely by the whole-row leaf kernel while it is
-  // cache-resident, by one worker. Routing these rows through the
-  // batch path instead (per-transform dependency counters, root-codelet
-  // seeding, stages interleaving across rows) measures ~10% slower at
-  // 512 x 512 and evicts rows between their own stages; a row is the
-  // natural grain here precisely because the sub-sizes were chosen
-  // cache-resident. Chunks of rows seed the persistent team, so multi-
-  // worker teams still spread the sweep.
+  // cache-resident, by one worker — a row is the natural grain here
+  // precisely because the sub-sizes were chosen cache-resident. Chunks of
+  // rows (at most workers*4 codelets, where a batch runs one codelet per
+  // transform) seed the persistent team, so multi-worker teams still
+  // spread the sweep.
   const std::uint64_t row_len = entry.plan().size();
   const kernels::RowTables<T> rows = entry.row_tables<T>(dir);
   codelet::HostRuntime& rt = team(opts.workers, opts.mode);
@@ -874,12 +752,9 @@ template <typename T>
 void FftExecutor::run_four_step_locked(const PlanEntry& entry,
                                        std::span<cplx_t<T>> data,
                                        const HostFftOptions& opts,
-                                       Variant /*variant*/,
                                        TwiddleDirection dir) {
-  // The scheduling variant is accepted for interface symmetry but does not
-  // alter the decomposition: the sub-FFT sweeps always use the row-serial
-  // chunk schedule of run_rows_locked (see its rationale), so every
-  // variant produces bit-identical output on this path.
+  // The sub-FFT sweeps always use the row-serial chunk schedule of
+  // run_rows_locked (see its rationale), so no scheduling variant applies.
   //
   // Index algebra (forward; kInverse conjugates every W below): with
   // j = j1*n2 + j2 and k = k2*n1 + k1,
@@ -1189,59 +1064,55 @@ void FftExecutor::inverse(std::span<cplx32> data, Variant variant) {
 }
 
 void FftExecutor::forward_batch(std::span<const std::span<cplx>> batch,
-                                const HostFftOptions& opts, Variant variant) {
-  run_t<double>(batch, opts, variant, TwiddleDirection::kForward);
+                                const HostFftOptions& opts) {
+  run_t<double>(batch, opts, Variant::kFine, TwiddleDirection::kForward);
 }
 
-void FftExecutor::forward_batch(std::span<const std::span<cplx>> batch,
-                                Variant variant) {
+void FftExecutor::forward_batch(std::span<const std::span<cplx>> batch) {
   HostFftOptions opts;
   opts.workers = opts_.workers;
   opts.mode = opts_.mode;
-  forward_batch(batch, opts, variant);
+  forward_batch(batch, opts);
 }
 
 void FftExecutor::forward_batch(std::span<const std::span<cplx32>> batch,
-                                const HostFftOptions& opts, Variant variant) {
-  run_t<float>(batch, opts, variant, TwiddleDirection::kForward);
+                                const HostFftOptions& opts) {
+  run_t<float>(batch, opts, Variant::kFine, TwiddleDirection::kForward);
 }
 
-void FftExecutor::forward_batch(std::span<const std::span<cplx32>> batch,
-                                Variant variant) {
+void FftExecutor::forward_batch(std::span<const std::span<cplx32>> batch) {
   HostFftOptions opts;
   opts.workers = opts_.workers;
   opts.mode = opts_.mode;
-  forward_batch(batch, opts, variant);
+  forward_batch(batch, opts);
 }
 
 void FftExecutor::inverse_batch(std::span<const std::span<cplx>> batch,
-                                const HostFftOptions& opts, Variant variant) {
-  run_t<double>(batch, opts, variant, TwiddleDirection::kInverse);
+                                const HostFftOptions& opts) {
+  run_t<double>(batch, opts, Variant::kFine, TwiddleDirection::kInverse);
   for (const std::span<cplx>& t : batch)
     scale_by<double>(t, 1.0 / static_cast<double>(t.size()));
 }
 
-void FftExecutor::inverse_batch(std::span<const std::span<cplx>> batch,
-                                Variant variant) {
+void FftExecutor::inverse_batch(std::span<const std::span<cplx>> batch) {
   HostFftOptions opts;
   opts.workers = opts_.workers;
   opts.mode = opts_.mode;
-  inverse_batch(batch, opts, variant);
+  inverse_batch(batch, opts);
 }
 
 void FftExecutor::inverse_batch(std::span<const std::span<cplx32>> batch,
-                                const HostFftOptions& opts, Variant variant) {
-  run_t<float>(batch, opts, variant, TwiddleDirection::kInverse);
+                                const HostFftOptions& opts) {
+  run_t<float>(batch, opts, Variant::kFine, TwiddleDirection::kInverse);
   for (const std::span<cplx32>& t : batch)
     scale_by<float>(t, 1.0 / static_cast<double>(t.size()));
 }
 
-void FftExecutor::inverse_batch(std::span<const std::span<cplx32>> batch,
-                                Variant variant) {
+void FftExecutor::inverse_batch(std::span<const std::span<cplx32>> batch) {
   HostFftOptions opts;
   opts.workers = opts_.workers;
   opts.mode = opts_.mode;
-  inverse_batch(batch, opts, variant);
+  inverse_batch(batch, opts);
 }
 
 void FftExecutor::resize(unsigned workers) {
@@ -1302,40 +1173,8 @@ void FftExecutor::shutdown_locked() {
   runtime_.reset();
   members_buf_.clear();
   keys_buf_.clear();
-  f64_.scratch.clear();
-  f64_.four_step_scratch.clear();
-  f64_.four_step_scratch.shrink_to_fit();
-  f64_.hier_scratch.clear();
-  f64_.hier_scratch.shrink_to_fit();
-  f64_.hier_panel.clear();
-  f64_.hier_panel.shrink_to_fit();
-  f64_.mixed_scratch.clear();
-  f64_.mixed_scratch.shrink_to_fit();
-  f64_.bluestein_scratch.clear();
-  f64_.bluestein_scratch.shrink_to_fit();
-  f64_.mixed_batch_scratch.clear();
-  f64_.mixed_batch_scratch.shrink_to_fit();
-  f64_.bluestein_batch_scratch.clear();
-  f64_.bluestein_batch_scratch.shrink_to_fit();
-  f64_.row_split.clear();
-  f64_.scratch_radix = 0;
-  f32_.scratch.clear();
-  f32_.four_step_scratch.clear();
-  f32_.four_step_scratch.shrink_to_fit();
-  f32_.hier_scratch.clear();
-  f32_.hier_scratch.shrink_to_fit();
-  f32_.hier_panel.clear();
-  f32_.hier_panel.shrink_to_fit();
-  f32_.mixed_scratch.clear();
-  f32_.mixed_scratch.shrink_to_fit();
-  f32_.bluestein_scratch.clear();
-  f32_.bluestein_scratch.shrink_to_fit();
-  f32_.mixed_batch_scratch.clear();
-  f32_.mixed_batch_scratch.shrink_to_fit();
-  f32_.bluestein_batch_scratch.clear();
-  f32_.bluestein_batch_scratch.shrink_to_fit();
-  f32_.row_split.clear();
-  f32_.scratch_radix = 0;
+  f64_ = {};
+  f32_ = {};
 }
 
 void FftExecutor::close() {

@@ -10,10 +10,11 @@
 // zero thread spawns and zero trig recomputation.
 //
 // forward_batch()/inverse_batch() submit many independent equal-length
-// transforms as codelets of ONE runtime phase: CodeletKey::index encodes
-// (transform, task) as b * tasks_per_stage + t, each transform gets its
-// own DependencyCounters instance stamped from the shared template, and
-// all transforms share the plan/twiddles. Thousands of small FFTs then
+// transforms as ONE runtime phase with one whole-transform codelet per
+// transform: each codelet runs its route's serial body (the whole-row leaf
+// kernel for pow2, mixed_radix_serial for 7-smooth composites, the
+// chirp-z chain for Bluestein) against the claiming worker's own scratch,
+// and all transforms share the plan/twiddles. Thousands of small FFTs then
 // saturate the work-stealing deques instead of paying a phase (or, worse,
 // a team lifecycle) per call.
 //
@@ -40,7 +41,7 @@
 // Serial row body: every pow2 transform that one worker runs from start to
 // finish — the one-worker classic fast path, the four-step row sweeps, the
 // hierarchical column (T2) and row (T4) sweeps, and each transform of a
-// batched Bluestein chain — is ONE call of the whole-row leaf kernel
+// pow2 or Bluestein batch — is ONE call of the whole-row leaf kernel
 // (kernels::KernelDispatch::run_row) against the classic PlanEntry's
 // lazily built row tables (PlanEntry::row_tables: bit-reversal index and
 // level-major split twiddles). Only the phased multi-worker classic path
@@ -265,7 +266,11 @@ class FftExecutor {
   /// wrappers clamp before calling). opts.workers/opts.mode select the
   /// team; the option-less overloads use the ExecutorOptions defaults.
   /// The cplx32 overloads are the f32 path — same plan algebra, f32
-  /// twiddles/kernels, separate plan-cache entries.
+  /// twiddles/kernels, separate plan-cache entries. `variant` schedules a
+  /// single classic (pow2, below the four-step threshold) transform on a
+  /// multi-worker team — the paper's coarse/fine/guided codelet graphs;
+  /// every other route and team shape ignores it. All variants give the
+  /// same bits.
   void forward(std::span<cplx> data, const HostFftOptions& opts,
                Variant variant = Variant::kFine);
   void forward(std::span<cplx> data, Variant variant = Variant::kFine);
@@ -281,26 +286,25 @@ class FftExecutor {
 
   /// Batched transforms: every span is one independent transform; all must
   /// share one length >= 2 (throws std::invalid_argument otherwise). A
-  /// pow2 batch runs as one bit-reversal phase plus the variant's stage
-  /// phases; composite/prime lengths run their mixed-radix or Bluestein
-  /// plan per transform with the plan/twiddle lookups amortized across the
-  /// batch. Bit-identical per transform to a loop of single calls.
+  /// batch of B > 1 classic, mixed-radix or Bluestein (classic
+  /// convolution) transforms runs as one runtime phase with one serial
+  /// whole-transform codelet per transform (a plain loop on a one-worker
+  /// team); four-step, hierarchical and large-convolution Bluestein
+  /// batches loop their single-transform pipelines. A one-transform batch
+  /// is a single call. Bit-identical per transform to a loop of single
+  /// calls under any Variant.
   void forward_batch(std::span<const std::span<cplx>> batch,
-                     const HostFftOptions& opts, Variant variant = Variant::kFine);
-  void forward_batch(std::span<const std::span<cplx>> batch,
-                     Variant variant = Variant::kFine);
+                     const HostFftOptions& opts);
+  void forward_batch(std::span<const std::span<cplx>> batch);
   void forward_batch(std::span<const std::span<cplx32>> batch,
-                     const HostFftOptions& opts, Variant variant = Variant::kFine);
-  void forward_batch(std::span<const std::span<cplx32>> batch,
-                     Variant variant = Variant::kFine);
+                     const HostFftOptions& opts);
+  void forward_batch(std::span<const std::span<cplx32>> batch);
   void inverse_batch(std::span<const std::span<cplx>> batch,
-                     const HostFftOptions& opts, Variant variant = Variant::kFine);
-  void inverse_batch(std::span<const std::span<cplx>> batch,
-                     Variant variant = Variant::kFine);
+                     const HostFftOptions& opts);
+  void inverse_batch(std::span<const std::span<cplx>> batch);
   void inverse_batch(std::span<const std::span<cplx32>> batch,
-                     const HostFftOptions& opts, Variant variant = Variant::kFine);
-  void inverse_batch(std::span<const std::span<cplx32>> batch,
-                     Variant variant = Variant::kFine);
+                     const HostFftOptions& opts);
+  void inverse_batch(std::span<const std::span<cplx32>> batch);
 
   /// Default team size for the option-less overloads; an existing team of
   /// a different size is dropped (and respawned lazily at next use).
@@ -406,15 +410,11 @@ class FftExecutor {
     /// use four_step_scratch / hier_scratch — never this buffer — so the
     /// chirp-modulated signal survives the inner transforms.
     std::vector<cplx_t<T>> bluestein_scratch;
-    /// Per-worker whole-transform scratch of the BATCHED composite paths
-    /// (one root codelet per transform, each transform serialized by the
-    /// worker that claims it — the same phase-amortization shape as the
-    /// pow2 batch path, so coalesced composite traffic pays one phase per
-    /// batch instead of several per transform). Each worker needs its own
-    /// permutation / convolution buffer because transforms run
-    /// concurrently.
-    std::vector<std::vector<cplx_t<T>>> mixed_batch_scratch;
-    std::vector<std::vector<cplx_t<T>>> bluestein_batch_scratch;
+    /// Per-worker complex scratch of the batch codelets (run_batch_locked):
+    /// the mixed-radix permutation target or the Bluestein convolution
+    /// buffer of the transform that worker is running. Each worker needs
+    /// its own because a batch's transforms run concurrently.
+    std::vector<std::vector<cplx_t<T>>> batch_scratch;
   };
 
   template <typename T>
@@ -440,11 +440,22 @@ class FftExecutor {
   template <typename T>
   void run_t(std::span<const std::span<cplx_t<T>>> batch,
              const HostFftOptions& opts, Variant variant, TwiddleDirection dir);
-  /// The classic stage/task dispatch (mutex_ held by the caller). Never
-  /// scales — inverse normalization lives in the public wrappers only.
+  /// A batch of B > 1 transforms of one plan (mutex_ held): ONE runtime
+  /// phase with one codelet per transform on a multi-worker team, a loop
+  /// on the caller on a one-worker team. `body(data, buf, split)` is the
+  /// route's serial whole-transform body; `buf` (>= buf_len points) and
+  /// `split` (>= 2 * split_len scalars) are the executing worker's own
+  /// scratch. Never scales.
+  template <typename T, typename Body>
+  void run_batch_locked(std::span<const std::span<cplx_t<T>>> batch,
+                        const HostFftOptions& opts, std::uint64_t buf_len,
+                        std::uint64_t split_len, const Body& body);
+  /// One classic transform (mutex_ held): the whole-row leaf kernel on a
+  /// one-worker team, else the chunked bit-reversal phase plus the
+  /// variant's codelet-graph stage phases. Never scales — inverse
+  /// normalization lives in the public wrappers only.
   template <typename T>
-  void run_classic_locked(const PlanEntry& entry,
-                          std::span<const std::span<cplx_t<T>>> batch,
+  void run_classic_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
                           const HostFftOptions& opts, Variant variant,
                           TwiddleDirection dir);
   /// One four-step transform (mutex_ held): transpose, n2-row sub-sweep of
@@ -453,8 +464,7 @@ class FftExecutor {
   /// they never re-enter the routing (no recursion, any threshold).
   template <typename T>
   void run_four_step_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
-                            const HostFftOptions& opts, Variant variant,
-                            TwiddleDirection dir);
+                            const HostFftOptions& opts, TwiddleDirection dir);
   /// One hierarchical transform (mutex_ held), recursive over the plan
   /// entry's column chain. The single-level body runs ONE runtime phase of
   /// dependency-counted tile-block tasks — gather-transpose of block i+1
@@ -476,17 +486,6 @@ class FftExecutor {
   template <typename T>
   void run_mixed_radix_locked(const PlanEntry& entry, std::span<cplx_t<T>> data,
                               const HostFftOptions& opts, TwiddleDirection dir);
-  /// A batch of mixed-radix transforms (mutex_ held): ONE phase with one
-  /// codelet per transform, each running the serial whole-transform body
-  /// against a per-worker scratch buffer — same butterflies in the same
-  /// order as the phased single-transform path, so bit-identical, while a
-  /// coalesced batch of B composite transforms pays one phase instead of
-  /// B * (stages + 1). One-worker teams loop the serial body directly.
-  template <typename T>
-  void run_mixed_radix_batch_locked(const PlanEntry& entry,
-                                    std::span<const std::span<cplx_t<T>>> batch,
-                                    const HostFftOptions& opts,
-                                    TwiddleDirection dir);
   /// One Bluestein chirp-z transform (mutex_ held): chirp-modulate into
   /// the M-point convolution buffer, run the shared-cache pow2 forward
   /// plan, pointwise-multiply by the precomputed chirp-filter spectrum,
@@ -500,22 +499,6 @@ class FftExecutor {
                             std::span<cplx_t<T>> data,
                             const HostFftOptions& opts, Variant variant,
                             TwiddleDirection dir);
-  /// A batch of Bluestein transforms (mutex_ held): when the inner
-  /// convolution is a classic plan, ONE phase with one codelet per
-  /// transform — each worker runs the whole chirp-z chain (modulate,
-  /// serial M-point forward, pointwise, serial M-point inverse,
-  /// demodulate) against its own convolution buffer, using the same
-  /// whole-row leaf kernel as the one-worker fast path (bit-identical to
-  /// the phased inner transforms by the classic contract).
-  /// Falls back to the per-transform path for one-worker teams and for
-  /// convolution sizes that route four-step/hierarchical (those pipelines
-  /// cannot nest inside a codelet).
-  template <typename T>
-  void run_bluestein_batch_locked(const PlanEntry& entry,
-                                  const PlanEntry& conv,
-                                  std::span<const std::span<cplx_t<T>>> batch,
-                                  const HostFftOptions& opts, Variant variant,
-                                  TwiddleDirection dir);
   /// Four-step sub-FFT sweep (mutex_ held): row_count consecutive
   /// plan-sized rows of `data`, each transformed completely by one worker
   /// while cache-resident; chunks of rows are the codelets of one phase on

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -79,33 +80,77 @@ TEST(Executor, RoundTripRestoresInput) {
   ASSERT_LT(max_abs_error(data, input), 1e-9);
 }
 
+template <typename C>
+std::vector<C> random_signal_as(std::uint64_t n, std::uint64_t seed) {
+  std::vector<C> v;
+  for (const cplx& x : random_signal(n, seed))
+    v.emplace_back(static_cast<typename C::value_type>(x.real()),
+                   static_cast<typename C::value_type>(x.imag()));
+  return v;
+}
+
+// One batch per shape against a loop of single forward() calls under EVERY
+// variant: the batch ignores the variant, so it must equal each variant's
+// single-transform output bit for bit.
+template <typename C>
+void expect_batch_matches_variant_loops(std::uint64_t n, std::size_t batch_size,
+                                        TwiddleLayout layout) {
+  HostFftOptions opts;
+  opts.workers = 4;
+  opts.layout = layout;
+  FftExecutor ex;
+
+  std::vector<std::vector<C>> inputs, batch_bufs;
+  for (std::size_t b = 0; b < batch_size; ++b)
+    inputs.push_back(random_signal_as<C>(n, 1000 + b));
+  batch_bufs = inputs;
+  std::vector<std::span<C>> spans(batch_bufs.begin(), batch_bufs.end());
+  ex.forward_batch(spans, opts);
+
+  for (Variant variant : {Variant::kCoarse, Variant::kFine, Variant::kGuided}) {
+    for (std::size_t b = 0; b < batch_size; ++b) {
+      std::vector<C> want = inputs[b];
+      ex.forward(std::span<C>(want), opts, variant);
+      ASSERT_EQ(0, std::memcmp(want.data(), batch_bufs[b].data(),
+                               n * sizeof(C)))
+          << to_string(variant) << " layout=" << static_cast<int>(layout)
+          << " B=" << batch_size << " b=" << b << " bytes=" << sizeof(C);
+    }
+  }
+}
+
 TEST(Executor, BatchMatchesLoopBitExactlyAllVariantsAndLayouts) {
   const std::uint64_t n = 1ULL << 13;  // 3 stages at radix 64: real guided path
-  const std::size_t batch_size = 4;
-  for (Variant variant : {Variant::kCoarse, Variant::kFine, Variant::kGuided}) {
-    for (TwiddleLayout layout : {TwiddleLayout::kLinear, TwiddleLayout::kBitReversed}) {
-      HostFftOptions opts;
-      opts.workers = 4;
-      opts.layout = layout;
+  // B = 2 and 5 on 4 workers: fewer and more transforms than workers.
+  for (std::size_t batch_size : {std::size_t{2}, std::size_t{4}, std::size_t{5}})
+    for (TwiddleLayout layout : {TwiddleLayout::kLinear, TwiddleLayout::kBitReversed})
+      expect_batch_matches_variant_loops<cplx>(n, batch_size, layout);
+  for (TwiddleLayout layout : {TwiddleLayout::kLinear, TwiddleLayout::kBitReversed})
+    expect_batch_matches_variant_loops<cplx32>(n, 5, layout);
+}
 
-      std::vector<std::vector<cplx>> loop_bufs, batch_bufs;
-      for (std::size_t b = 0; b < batch_size; ++b) {
-        loop_bufs.push_back(random_signal(n, 1000 + b));
-        batch_bufs.push_back(loop_bufs.back());
-      }
-
-      FftExecutor ex;
-      for (auto& buf : loop_bufs) ex.forward(buf, opts, variant);
-
-      std::vector<std::span<cplx>> spans;
-      for (auto& buf : batch_bufs) spans.emplace_back(buf);
-      ex.forward_batch(spans, opts, variant);
-
-      for (std::size_t b = 0; b < batch_size; ++b)
-        ASSERT_EQ(max_abs_error(batch_bufs[b], loop_bufs[b]), 0.0)
-            << to_string(variant) << " layout=" << static_cast<int>(layout)
-            << " b=" << b;
-    }
+TEST(Executor, BatchRunsOnePhase) {
+  // A B > 1 batch on a multi-worker team is ONE runtime phase with one
+  // whole-transform codelet per transform, on every route that has a
+  // serial body: classic pow2, mixed-radix and Bluestein (its M = 256
+  // convolution routes classic).
+  constexpr std::size_t kB = 5;
+  for (std::uint64_t n : {std::uint64_t{1} << 13, std::uint64_t{1000},
+                          std::uint64_t{101}}) {
+    FftExecutor ex({.workers = 4});
+    std::vector<std::vector<cplx>> bufs;
+    for (std::size_t b = 0; b < kB; ++b) bufs.push_back(random_signal(n, 50 + b));
+    std::vector<std::span<cplx>> spans(bufs.begin(), bufs.end());
+    std::uint64_t phases = 0;
+    std::uint64_t executed = 0;
+    ex.set_phase_hook([&](const codelet::PhaseStats& st) {
+      ++phases;
+      executed += st.executed;
+    });
+    ex.forward_batch(spans);
+    EXPECT_EQ(phases, 1u) << n;
+    EXPECT_EQ(executed, kB) << n;
+    EXPECT_EQ(ex.stats().batched, kB) << n;
   }
 }
 
